@@ -12,7 +12,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .cmc import SolverConfig, solve_cmc, target_mean_curvature
 from .models import (
@@ -80,6 +79,8 @@ def schwarzschild_sphere_radius(mass: float, sigma: float) -> float:
     ``-2/sigma + 4m/sigma^2``, bisected to 1e-12 without touching the
     spectral pipeline.
     """
+
+    from scipy.optimize import brentq  # scipy.optimize is slow to import; only this needs it
 
     def H(r):
         phi = 1.0 + mass / (2.0 * r)

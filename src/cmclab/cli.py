@@ -31,7 +31,7 @@ from .physics import (
     evolution_residual,
     quasi_local_momentum,
 )
-from .surfaces import low_eigenpairs, compute_geometry
+from .surfaces import low_eigenpairs
 
 _log = logging.getLogger(__name__)
 
@@ -60,6 +60,17 @@ def write_csv(path: Path, header, rows) -> None:
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
+
+
+def _leaf_eigenvalues(leaf, model) -> list:
+    """The leaf's three lowest stability eigenvalues.
+
+    ``solve_cmc`` already computes them on the same geometry unless the
+    solver config turns them off; only then are they computed here.
+    """
+    if leaf.eigenvalues is not None:
+        return list(leaf.eigenvalues)
+    return [lam for lam, _ in low_eigenpairs(leaf.surface, model, n=3)]
 
 
 def _leaves_for(config: ExperimentConfig, model):
@@ -152,9 +163,7 @@ def stage_eigen(config: ExperimentConfig):
     header = ["sigma", "lambda1", "lambda2", "lambda3", "reference", "maxRelDeviation"]
     rows, records = [], []
     for leaf in result.leaves:
-        geo = compute_geometry(leaf.surface, model)
-        pairs = low_eigenpairs(leaf.surface, model, n=3, geometry=geo)
-        lams = [lam for lam, _ in pairs]
+        lams = _leaf_eigenvalues(leaf, model)
         ref = 6.0 * model.mass / leaf.sigma**3 if model.mass > 0 else 0.0
         dev = max(abs(l / ref - 1.0) for l in lams) if ref else float("nan")
         rows.append([leaf.sigma, *lams, ref, dev])
@@ -224,8 +233,7 @@ def stage_study(config: ExperimentConfig):
     if model.mass > 0:
         devs = []
         for leaf in leaves:
-            geo = compute_geometry(leaf.surface, model)
-            lams = [lam for lam, _ in low_eigenpairs(leaf.surface, model, n=3, geometry=geo)]
+            lams = _leaf_eigenvalues(leaf, model)
             ref = 6.0 * model.mass / leaf.sigma**3
             devs.append(max(abs(l / ref - 1.0) for l in lams))
         fit = fit_decay_exponent(sigmas, devs)

@@ -14,9 +14,8 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .errors import ConfigurationError, DivergenceError, SolverError
+from .errors import ConfigurationError, DivergenceError, DomainError, SolverError
 from .models import MetricModel
 from .sphere import ScalarField, build_grid
 from .surfaces import (
@@ -121,27 +120,26 @@ def target_mean_curvature(sigma: float, mass: float) -> float:
 
 
 def _newton_rhs_solve(geo: SurfaceGeometry, residual_field: np.ndarray, config: SolverConfig):
-    """Weak-form solve of ``L u = residual_field`` returning coefficients."""
-    A, M = geo.operator_matrices
-    B, _, _ = geo.grid.basis_matrices()
-    b = B.T @ (geo.weights_induced * residual_field)
-    if geo.model.mass == 0.0:
-        # flat ambient: translation modes are an exact kernel; go through the
-        # regularized eigenbasis solve
-        u_vals = geo.solve_operator(residual_field, eigenvalue_floor=config.eigenvalue_floor)
-        return geo.grid.analyze_values(u_vals)
-    try:
-        u = scipy.linalg.solve(A, b, assume_a="sym")
-    except scipy.linalg.LinAlgError:
-        u = None
-    if u is not None:
-        rho_min = geo.surface.radius_values.min()
-        u_vals = geo.grid.synthesize_values(u)
-        if np.all(np.isfinite(u_vals)) and np.abs(u_vals).max() <= 0.5 * rho_min:
-            return u
-    # near-singular or wild step: regularized eigen solve
+    """Weak-form solve of ``L u = residual_field``.
+
+    Returns ``(coefficients, krylov_iterations)``; the count is ``None``
+    when the step went through the regularized eigenbasis solve.
+    """
+    if geo.model.mass > 0.0:
+        load = geo.grid.adjoint_values(geo.weights_induced * residual_field)
+        try:
+            u, iterations = geo.galerkin_solve(load)
+        except SolverError:
+            u = None
+        if u is not None:
+            rho_min = geo.surface.radius_values.min()
+            u_vals = geo.grid.synthesize_values(u)
+            if np.abs(u_vals).max() <= 0.5 * rho_min:
+                return u, iterations
+    # flat ambient (translation modes are an exact kernel), an unconverged
+    # Krylov solve or a wild step: regularized eigenbasis solve
     u_vals = geo.solve_operator(residual_field, eigenvalue_floor=config.eigenvalue_floor)
-    return geo.grid.analyze_values(u_vals)
+    return geo.grid.analyze_values(u_vals), None
 
 
 def newton_step(
@@ -162,7 +160,7 @@ def newton_step(
     residual_field = h_target - geo.mean_curvature
     sigma = _sigma_of_target(h_target, model.mass)
     residual = np.abs(residual_field).max() * sigma**2
-    du = _newton_rhs_solve(geo, residual_field, config)
+    du, _ = _newton_rhs_solve(geo, residual_field, config)
     return surface.with_radius(surface.rho_coeffs + du), float(residual)
 
 
@@ -238,8 +236,8 @@ def _newton_loop(surface, model, h_target, sigma, config):
         geo = compute_geometry(surface, model)
         residual_field = h_target - geo.mean_curvature
         residual = np.abs(residual_field).max() * sigma**2
-        _log.debug("newton sigma=%g iter=%d residual=%.3e", sigma, it, residual)
         if residual <= config.newton_tol:
+            _log.debug("newton sigma=%g iter=%d residual=%.3e", sigma, it, residual)
             return surface, it
         if residual > previous * (1.0 + 1e-12):
             increases += 1
@@ -251,7 +249,11 @@ def _newton_loop(surface, model, h_target, sigma, config):
         else:
             increases = 0
         previous = residual
-        du = _newton_rhs_solve(geo, residual_field, config)
+        du, krylov = _newton_rhs_solve(geo, residual_field, config)
+        _log.debug(
+            "newton sigma=%g iter=%d residual=%.3e krylov=%s",
+            sigma, it, residual, "eigen-fallback" if krylov is None else krylov,
+        )
         surface = surface.with_radius(surface.rho_coeffs + du)
         z = euclidean_center(surface)
         if np.linalg.norm(z - surface.center) > config.recenter_threshold * sigma:
@@ -287,8 +289,8 @@ def solve_foliation(model: MetricModel, sigmas, config: SolverConfig | None = No
             )
         try:
             leaf = solve_cmc(model, sigma, config, initial=initial)
-        except (SolverError, ConfigurationError) as exc:
-            result.failures.append({"sigma": sigma, "error": str(exc)})
+        except (SolverError, ConfigurationError, DomainError) as exc:
+            result.failures.append({"sigma": sigma, "kind": type(exc).__name__, "error": str(exc)})
             previous = None
             continue
         result.leaves.append(leaf)

@@ -133,6 +133,13 @@ class SphericalGrid:
         self.coeff_l = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
         self.coeff_m = np.concatenate([np.arange(-l, l + 1) for l in range(L + 1)])
         self._mask_lm = (ms <= ls).astype(float)  # [l, m]
+        # (l, m) pairs of the cosine and sine blocks with their flat slots
+        self._tril = np.tril_indices(L + 1)
+        tl, tm = self._tril
+        self._flat_cos = tl * tl + tl + tm
+        pos = tm > 0
+        self._sin_lm = (tl[pos], tm[pos])
+        self._flat_sin = tl[pos] * tl[pos] + tl[pos] - tm[pos]
         idx = ls * ls + ls + ms
         self._idx_cos = np.where(ms <= ls, idx, 0)
         self._idx_sin = np.where((ms <= ls) & (ms > 0), ls * ls + ls - ms, 0)
@@ -176,23 +183,28 @@ class SphericalGrid:
     def analyze_values(self, values: np.ndarray) -> np.ndarray:
         """Forward transform of node values to flat coefficients."""
         A, B = self._fourier_coeffs(values)
-        L = self.band_limit
         QW = self._Q * self.gl_weights  # [m, l, j]
         # c[l, m] blocks; phi-integral contributes pi (2*pi for m = 0)
         Ccos = np.einsum("mlj,jm->lm", QW, A) * (np.pi * np.sqrt(2.0))
         Ccos[:, 0] *= np.sqrt(2.0)  # undo sqrt(2), apply 2*pi instead of pi
         Csin = np.einsum("mlj,jm->lm", QW, B) * (np.pi * np.sqrt(2.0))
-        coeffs = np.zeros(self.n_coeffs)
-        ls, ms = np.tril_indices(L + 1)
-        coeffs[ls * ls + ls + ms] = Ccos[ls, ms]
-        pos = ms > 0
-        coeffs[ls[pos] * ls[pos] + ls[pos] - ms[pos]] = Csin[ls[pos], ms[pos]]
+        return self._flatten(Ccos, Csin)
+
+    def _flatten(self, Ccos: np.ndarray, Csin: np.ndarray) -> np.ndarray:
+        """Gather ``[l, m]`` cosine/sine blocks into the flat ``l*l + l + m`` layout."""
+        coeffs = np.empty(self.n_coeffs)
+        coeffs[self._flat_cos] = Ccos[self._tril]
+        coeffs[self._flat_sin] = Csin[self._sin_lm]
         return coeffs
+
+    @staticmethod
+    def _check_derivatives(dtheta: int, dphi: int):
+        if dtheta + dphi > 2 or dtheta < 0 or dphi < 0:
+            raise ConfigurationError("supported derivatives: dtheta + dphi <= 2")
 
     def synthesize_values(self, coeffs: np.ndarray, dtheta: int = 0, dphi: int = 0) -> np.ndarray:
         """Backward transform; optional theta/phi derivatives up to total order 2."""
-        if dtheta + dphi > 2 or dtheta < 0 or dphi < 0:
-            raise ConfigurationError("supported derivatives: dtheta + dphi <= 2")
+        self._check_derivatives(dtheta, dphi)
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.n_coeffs,):
             raise GridMismatchError(
@@ -210,6 +222,35 @@ class SphericalGrid:
             A, B = -A * m * m, -B * m * m
         G = A @ self._cos_table + B @ self._sin_table
         return G.reshape(self.n_nodes)
+
+    def adjoint_values(self, values: np.ndarray, dtheta: int = 0, dphi: int = 0) -> np.ndarray:
+        """Transpose of :meth:`synthesize_values` for the same derivative orders.
+
+        Slot ``a`` of the result is ``sum_n values[n] * D Y_a(node n)`` with
+        ``D`` the requested chart derivative: no quadrature weights enter, so
+        ``adjoint_values(w * g)`` is the Galerkin load ``B^T (w g)`` of
+        :meth:`basis_matrices`.  It reverses the synthesis steps: cos/sin
+        table contraction per colatitude, Legendre-table contraction, then a
+        scatter into the flat slots; O(L^3) like the forward transform.
+        """
+        self._check_derivatives(dtheta, dphi)
+        values = np.asarray(values, dtype=float)
+        if values.shape != (self.n_nodes,):
+            raise GridMismatchError(
+                f"expected {self.n_nodes} node values, got shape {values.shape}"
+            )
+        G = values.reshape(self.n_theta, self.n_phi)
+        A = G @ self._cos_table.T  # [j, m]
+        B = G @ self._sin_table.T
+        m = np.arange(self.band_limit + 1)
+        if dphi == 1:
+            A, B = -B * m, A * m
+        elif dphi == 2:
+            A, B = -A * m * m, -B * m * m
+        T = (self._Q, self._dQ, self._d2Q)[dtheta]
+        Ccos = np.einsum("mlj,jm->lm", T, A) * self._m_scale
+        Csin = np.einsum("mlj,jm->lm", T, B) * self._m_scale
+        return self._flatten(Ccos, Csin)
 
     def evaluate(
         self,

@@ -45,6 +45,14 @@ __all__ = [
 #: fraction of spectral energy allowed in the top two degrees before a
 #: resolution warning is emitted
 _TAIL_ENERGY_LIMIT = 0.01
+#: relative tolerance of the preconditioned Krylov solve; the residual it
+#: bounds is the preconditioned one, whose round-off floor does not grow
+#: with the near-kernel conditioning of the l = 1 modes
+_KRYLOV_RTOL = 1e-13
+#: GMRES restart length and cycle limit (the preconditioned iteration
+#: needs about 10 steps, independent of the band limit)
+_KRYLOV_RESTART = 40
+_KRYLOV_CYCLES = 5
 
 
 @dataclass(frozen=True)
@@ -270,6 +278,95 @@ class SurfaceGeometry:
     # -- weak-form operator -------------------------------------------------
 
     @cached_property
+    def _galerkin_weights(self):
+        """Pointwise weights ``w a^IJ`` and ``w V`` of the Galerkin forms."""
+        w = self.weights_induced
+        inv = self.induced_inv
+        return w * inv[:, 0, 0], w * inv[:, 0, 1], w * inv[:, 1, 1], w * self.potential
+
+    def galerkin_apply(self, coeffs: np.ndarray) -> np.ndarray:
+        """``A @ coeffs`` for the Galerkin matrix ``A`` of :attr:`operator_matrices`.
+
+        Matrix-free: synthesizes ``f, f_theta, f_phi``, weights them
+        pointwise and applies the transposed transforms, at O(L^3) cost
+        instead of the O(L^6) assembly.
+        """
+        g = self.grid
+        W11, W12, W22, wV = self._galerkin_weights
+        f = g.synthesize_values(coeffs)
+        ft = g.synthesize_values(coeffs, dtheta=1)
+        fp = g.synthesize_values(coeffs, dphi=1)
+        return (
+            g.adjoint_values(wV * f)
+            - g.adjoint_values(W11 * ft + W12 * fp, dtheta=1)
+            - g.adjoint_values(W12 * ft + W22 * fp, dphi=1)
+        )
+
+    def mass_apply(self, coeffs: np.ndarray) -> np.ndarray:
+        """``M @ coeffs`` for the L2(dmu) mass matrix, matrix-free."""
+        g = self.grid
+        return g.adjoint_values(self.weights_induced * g.synthesize_values(coeffs))
+
+    @cached_property
+    def _preconditioner(self):
+        """Inverse of the exact l <= 1 Galerkin block and of ``2 - l(l+1)`` above.
+
+        ``diag(2 - l(l+1))`` is the Galerkin matrix of every Euclidean round
+        sphere; its l = 1 entry vanishes, so degrees <= 1 (which hold the
+        near-kernel translation modes) use the exact 4x4 block instead.
+        """
+        block = np.empty((4, 4))
+        e = np.zeros(self.grid.n_coeffs)
+        for a in range(4):
+            e[a] = 1.0
+            block[:, a] = self.galerkin_apply(e)[:4]
+            e[a] = 0.0
+        try:
+            block_inv = np.linalg.inv(0.5 * (block + block.T))
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"degree <= 1 Galerkin block is singular: {exc}") from exc
+        l = self.grid.coeff_l[4:]
+        return block_inv, 1.0 / (2.0 - l * (l + 1.0))
+
+    def _precondition(self, r: np.ndarray) -> np.ndarray:
+        block_inv, diag_inv = self._preconditioner
+        return np.concatenate([block_inv @ r[:4], diag_inv * r[4:]])
+
+    def galerkin_solve(self, load: np.ndarray) -> tuple[np.ndarray, int]:
+        """Solve ``A u = load`` by preconditioned GMRES; returns ``(u, iterations)``.
+
+        GMRES runs on the left-preconditioned system ``P^-1 A u = P^-1 load``
+        with :meth:`galerkin_apply` and the l <= 1 block preconditioner.
+        Raises :class:`SolverError` unless it converges, so a caller never
+        receives an unconverged solution.
+        """
+        import scipy.sparse.linalg as spla
+
+        n = self.grid.n_coeffs
+        op = spla.LinearOperator(
+            (n, n), matvec=lambda c: self._precondition(self.galerkin_apply(c)), dtype=float
+        )
+        iterations = 0
+
+        def count(_):
+            nonlocal iterations
+            iterations += 1
+
+        u, info = spla.gmres(
+            op,
+            self._precondition(load),
+            rtol=_KRYLOV_RTOL,
+            atol=0.0,
+            restart=_KRYLOV_RESTART,
+            maxiter=_KRYLOV_CYCLES,
+            callback=count,
+            callback_type="pr_norm",
+        )
+        if info != 0 or not np.all(np.isfinite(u)):
+            raise SolverError(f"Krylov solve did not converge in {iterations} iterations")
+        return u, iterations
+
+    @cached_property
     def operator_matrices(self):
         """Galerkin matrices (A, M) of the stability operator.
 
@@ -279,15 +376,13 @@ class SurfaceGeometry:
         """
         B, Bt, Bp = self.grid.basis_matrices()
         w = self.weights_induced
-        W11 = w * self.induced_inv[:, 0, 0]
-        W12 = w * self.induced_inv[:, 0, 1]
-        W22 = w * self.induced_inv[:, 1, 1]
+        W11, W12, W22, wV = self._galerkin_weights
         l11 = np.sqrt(W11)
         l21 = W12 / l11
         l22 = np.sqrt(np.maximum(W22 - l21**2, 0.0))
         R1 = l11[:, None] * Bt + l21[:, None] * Bp
         R2 = l22[:, None] * Bp
-        A = -(R1.T @ R1) - (R2.T @ R2) + (B * (w * self.potential)[:, None]).T @ B
+        A = -(R1.T @ R1) - (R2.T @ R2) + (B * wV[:, None]).T @ B
         F = np.sqrt(w)[:, None] * B
         M = F.T @ F
         A = 0.5 * (A + A.T)
@@ -424,7 +519,8 @@ def low_eigenpairs(
     ``L f = -lambda f`` (so the degree-one cluster of a mass-m leaf sits
     near ``+6m/sigma^3``, and higher modes of a Euclidean sphere are
     positive).  Dense generalized symmetric solve up to ``dense_limit``
-    band limit, shift-invert Lanczos above.  Eigenfields are
+    band limit; above it, matrix-free shift-invert Lanczos about 0 whose
+    inverse is :meth:`SurfaceGeometry.galerkin_solve`.  Eigenfields are
     L2(dmu)-orthonormal.
     """
     if n > 10:
@@ -437,11 +533,15 @@ def low_eigenpairs(
     else:
         import scipy.sparse.linalg as spla
 
-        A, M = geo.operator_matrices
-        lu = scipy.linalg.lu_factor(A)
-        op_inv = spla.LinearOperator(A.shape, lambda v: scipy.linalg.lu_solve(lu, v))
+        shape = (grid.n_coeffs, grid.n_coeffs)
+        A = spla.LinearOperator(shape, matvec=geo.galerkin_apply, dtype=float)
+        M = spla.LinearOperator(shape, matvec=geo.mass_apply, dtype=float)
+        op_inv = spla.LinearOperator(shape, matvec=lambda v: geo.galerkin_solve(v)[0], dtype=float)
         try:
-            vals, vecs = spla.eigsh(A, k=n, M=M, sigma=0.0, OPinv=op_inv, which="LM")
+            # fixed start vector: the same leaf gives the same eigenpairs
+            vals, vecs = spla.eigsh(
+                A, k=n, M=M, sigma=0.0, OPinv=op_inv, which="LM", v0=np.ones(shape[0])
+            )
         except Exception as exc:  # pragma: no cover - iteration breakdown
             raise SolverError(f"shift-invert eigeniteration failed: {exc}") from exc
         order = np.argsort(np.abs(vals), kind="stable")

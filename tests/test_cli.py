@@ -185,3 +185,26 @@ def test_cli_main_exit_codes(tmp_path):
 def test_cli_override_revalidates(tmp_path):
     rc = main(["foliate", "--mass", "-3", "--out", str(tmp_path / "x"), "--log", "quiet"])
     assert rc == 2
+
+
+def test_eigen_and_study_reuse_leaf_eigenvalues(tmp_path, monkeypatch):
+    """Stages read the eigenvalues solve_cmc computed; they solve again only without them."""
+    from cmclab import cli
+
+    calls = []
+    original = cli.low_eigenpairs
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "low_eigenpairs", counting)
+    reused, status = run_experiment("eigen", small_config(tmp_path))
+    assert status == 0 and calls == []
+    run_experiment("study", small_config(tmp_path))
+    assert calls == []
+    recomputed, status = run_experiment(
+        "eigen", small_config(tmp_path, solver={"compute_eigenvalues": False})
+    )
+    assert status == 0 and len(calls) == 2
+    assert recomputed["reports"] == reused["reports"]

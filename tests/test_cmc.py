@@ -1,5 +1,9 @@
 """CMC solver: oracle radii, equivariance, warm starts, radial lapse."""
 
+import dataclasses
+import logging
+import re
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -139,6 +143,32 @@ def test_solve_foliation_empty_and_partial():
     assert len(result.leaves) + len(result.failures) == 2
     if result.failures:
         assert "sigma" in result.failures[0]
+
+
+def test_domain_error_is_a_per_leaf_failure():
+    """A leaf inside the exclusion ball fails alone; the sweep goes on."""
+    model = dataclasses.replace(schwarzschild(1.0), r_min=10.0)
+    result = solve_foliation(model, [8.0, 16.0, 32.0], CFG)
+    assert [f["sigma"] for f in result.failures] == [8.0]
+    assert result.failures[0]["kind"] == "DomainError"
+    assert result.sigmas == [16.0, 32.0]
+    tiny = SolverConfig(band_limit=8, max_newton=1, compute_eigenvalues=False)
+    failures = solve_foliation(schwarzschild(1.0), [8.0], tiny).failures
+    assert [f["kind"] for f in failures] == ["SolverError"]
+
+
+def test_newton_debug_line_reports_krylov_iterations(caplog):
+    model = perturbed_schwarzschild(1.0, 0.5, 0.1, "odd")
+    with caplog.at_level(logging.DEBUG, logger="cmclab.cmc"):
+        leaf = solve_cmc(model, 16.0, CFG)
+    steps = [r.getMessage() for r in caplog.records if "krylov=" in r.getMessage()]
+    assert len(steps) == leaf.iterations
+    for line in steps:
+        assert re.search(r"krylov=\d+$", line), line
+    with caplog.at_level(logging.DEBUG, logger="cmclab.cmc"):
+        caplog.clear()
+        solve_cmc(euclidean(), 4.0, CFG, initial=SurfaceEmbedding.round_sphere(build_grid(16), 3.0))
+    assert any(r.getMessage().endswith("krylov=eigen-fallback") for r in caplog.records)
 
 
 def test_foliation_nested_on_perturbed_model():

@@ -212,3 +212,29 @@ def test_scalar_field_validation():
     bad[0] = np.nan
     with pytest.raises(ConfigurationError):
         ScalarField(grid, bad)
+
+
+@pytest.mark.parametrize("dtheta,dphi", [(0, 0), (1, 0), (0, 1), (1, 1)])
+def test_adjoint_transform_is_transpose_of_synthesis(dtheta, dphi):
+    """<synth(c, dtheta, dphi), g> = <c, adjoint(g, dtheta, dphi)> for random c, g."""
+    grid = build_grid(12)
+    rng = np.random.default_rng(dtheta + 2 * dphi)
+    c = rng.standard_normal(grid.n_coeffs)
+    g = rng.standard_normal(grid.n_nodes)
+    lhs = grid.synthesize_values(c, dtheta=dtheta, dphi=dphi) @ g
+    rhs = c @ grid.adjoint_values(g, dtheta=dtheta, dphi=dphi)
+    assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def test_adjoint_transform_matches_basis_matrices():
+    grid = build_grid(10)
+    B, Bt, Bp = grid.basis_matrices()
+    g = np.random.default_rng(5).standard_normal(grid.n_nodes)
+    for (dtheta, dphi), mat in (((0, 0), B), ((1, 0), Bt), ((0, 1), Bp)):
+        ref = mat.T @ g
+        got = grid.adjoint_values(g, dtheta=dtheta, dphi=dphi)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    with pytest.raises(GridMismatchError):
+        grid.adjoint_values(g[:-1])
+    with pytest.raises(ConfigurationError):
+        grid.adjoint_values(g, dtheta=2, dphi=1)

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from cmclab.cmc import SolverConfig, _newton_rhs_solve, target_mean_curvature
 from cmclab.errors import ConfigurationError, ResolutionWarning
-from cmclab.models import euclidean, schwarzschild
+from cmclab.models import euclidean, perturbed_schwarzschild, schwarzschild
 from cmclab.sphere import ScalarField, build_grid
 from cmclab.surfaces import (
     SurfaceEmbedding,
@@ -163,6 +165,82 @@ def test_eigenpair_count_limit(grid16):
     s = SurfaceEmbedding.round_sphere(grid16, 5.0)
     with pytest.raises(ConfigurationError):
         low_eigenpairs(s, euclidean(), n=11)
+
+
+def perturbed_sphere(grid, sigma, seed=1):
+    """Round sphere of radius sigma with small random degree 1..6 bumps."""
+    s = SurfaceEmbedding.round_sphere(grid, sigma)
+    c = s.rho_coeffs.copy()
+    bumps = (grid.coeff_l >= 1) & (grid.coeff_l <= 6)
+    c[bumps] += 1e-3 * sigma * np.random.default_rng(seed).standard_normal(bumps.sum())
+    return s.with_radius(c)
+
+
+def dense_galerkin(geo):
+    """Oracle: the Galerkin matrices assembled here from the dense basis."""
+    B, Bt, Bp = geo.grid.basis_matrices()
+    w = geo.weights_induced
+    inv = geo.induced_inv
+    A = (
+        -Bt.T @ ((w * inv[:, 0, 0])[:, None] * Bt)
+        - Bt.T @ ((w * inv[:, 0, 1])[:, None] * Bp)
+        - Bp.T @ ((w * inv[:, 0, 1])[:, None] * Bt)
+        - Bp.T @ ((w * inv[:, 1, 1])[:, None] * Bp)
+        + B.T @ ((w * geo.potential)[:, None] * B)
+    )
+    M = B.T @ (w[:, None] * B)
+    return 0.5 * (A + A.T), 0.5 * (M + M.T)
+
+
+@pytest.mark.parametrize("band_limit", [16, 32])
+def test_matrix_free_operator_matches_dense_oracle(band_limit):
+    """Matvec, one Newton correction and shift-invert eigenvalues against dense A."""
+    grid = build_grid(band_limit)
+    model = perturbed_schwarzschild(1.0, 0.5, 0.1, "odd")
+    sigma = 32.0
+    s = perturbed_sphere(grid, sigma)
+    geo = compute_geometry(s, model)
+    A, M = dense_galerkin(geo)
+
+    c = np.random.default_rng(2).standard_normal(grid.n_coeffs)
+    ref = A @ c
+    assert np.linalg.norm(geo.galerkin_apply(c) - ref) <= 1e-12 * np.linalg.norm(ref)
+    ref = M @ c
+    assert np.linalg.norm(geo.mass_apply(c) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    residual = target_mean_curvature(sigma, model.mass) - geo.mean_curvature
+    u, krylov = _newton_rhs_solve(geo, residual, SolverConfig(band_limit=band_limit))
+    assert krylov is not None  # the Krylov path, not the eigenbasis fallback
+    B, _, _ = grid.basis_matrices()
+    ref = scipy.linalg.solve(A, B.T @ (geo.weights_induced * residual))
+    assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    vals = scipy.linalg.eigh(A, M, eigvals_only=True)
+    dense = np.sort(-vals[np.argsort(np.abs(vals))[:3]])
+    pairs = low_eigenpairs(s, model, n=3, geometry=geo, dense_limit=band_limit - 1)
+    shift_invert = np.sort([lam for lam, _ in pairs])
+    assert np.abs(shift_invert / dense - 1.0).max() <= 1e-10
+
+
+def test_shift_invert_branch_matches_dense_eigensystem():
+    """dense_limit below the band limit forces the matrix-free shift-invert branch."""
+    grid = build_grid(16)
+    model = perturbed_schwarzschild(1.0, 0.5, 0.1, "odd")
+    s = perturbed_sphere(grid, 24.0, seed=3)
+    geo = compute_geometry(s, model)
+    dense = low_eigenpairs(s, model, n=3, geometry=geo)
+    sparse = low_eigenpairs(s, model, n=3, geometry=geo, dense_limit=8)
+    vals, vecs = geo.operator_eigensystem
+    order = np.argsort(np.abs(vals), kind="stable")[:3]
+    assert np.allclose([lam for lam, _ in sparse], -vals[order], rtol=1e-10, atol=0)
+    assert np.allclose([lam for lam, _ in dense], -vals[order], rtol=0, atol=0)
+    # same eigenspace: the principal angles between the spans vanish
+    span_dense = np.stack([grid.synthesize_values(vecs[:, i]) for i in order], axis=1)
+    span_sparse = np.stack([field.values for _, field in sparse], axis=1)
+    assert scipy.linalg.subspace_angles(span_dense, span_sparse).max() < 1e-8
+    for i, (_, fi) in enumerate(sparse):
+        for j, (_, fj) in enumerate(sparse):
+            assert geo.integrate(fi.values * fj.values) == pytest.approx(float(i == j), abs=1e-9)
 
 
 def test_euclidean_center_round_and_even(grid16):
