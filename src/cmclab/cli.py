@@ -31,7 +31,7 @@ from .physics import (
     evolution_residual,
     quasi_local_momentum,
 )
-from .surfaces import low_eigenpairs
+from .surfaces import compute_geometry, low_eigenpairs
 
 _log = logging.getLogger(__name__)
 
@@ -241,7 +241,13 @@ def stage_study(config: ExperimentConfig):
         rows.append(["eigenvalue_deviation", fit.exponent, fit.residual, passed])
         ok &= passed
 
-    residuals = [evolution_residual(leaf, data).residual for leaf in leaves]
+    # one geometry per leaf serves the evolution law and the radial lapse
+    # (``data.base`` is ``model``)
+    geometries = [compute_geometry(leaf.surface, model) for leaf in leaves]
+    residuals = [
+        evolution_residual(leaf, data, geometry=geo).residual
+        for leaf, geo in zip(leaves, geometries)
+    ]
     if max(residuals) > 1e-13:
         fit = fit_decay_exponent(sigmas, residuals)
         passed = fit.exponent >= min(eps, delta) - 0.3
@@ -262,7 +268,10 @@ def stage_study(config: ExperimentConfig):
 
     # the radial lapse deviation is non-monotone in the pre-asymptotic
     # regime; the gate is boundedness, the exponent is informational
-    lapse_devs = [solve_radial_lapse(leaf, model).deviation_w1inf for leaf in leaves]
+    lapse_devs = [
+        solve_radial_lapse(leaf, model, geometry=geo).deviation_w1inf
+        for leaf, geo in zip(leaves, geometries)
+    ]
     if max(lapse_devs) > 1e-13:
         fit = fit_decay_exponent(sigmas, lapse_devs)
         passed = max(lapse_devs) <= 0.5

@@ -128,16 +128,11 @@ def _newton_rhs_solve(geo: SurfaceGeometry, residual_field: np.ndarray, config: 
     if geo.model.mass > 0.0:
         load = geo.grid.adjoint_values(geo.weights_induced * residual_field)
         try:
-            u, iterations = geo.galerkin_solve(load)
+            return geo.galerkin_solve(load)
         except SolverError:
-            u = None
-        if u is not None:
-            rho_min = geo.surface.radius_values.min()
-            u_vals = geo.grid.synthesize_values(u)
-            if np.abs(u_vals).max() <= 0.5 * rho_min:
-                return u, iterations
-    # flat ambient (translation modes are an exact kernel), an unconverged
-    # Krylov solve or a wild step: regularized eigenbasis solve
+            pass
+    # flat ambient (translation modes are an exact kernel) or an unconverged
+    # Krylov solve: regularized eigenbasis solve
     u_vals = geo.solve_operator(residual_field, eigenvalue_floor=config.eigenvalue_floor)
     return geo.grid.analyze_values(u_vals), None
 
@@ -203,16 +198,16 @@ def solve_cmc(
 
     total_iters = 0
     for _ in range(8):
-        surface, iters = _newton_loop(surface, model, h_target, sigma, config)
+        surface, iters, geo = _newton_loop(surface, model, h_target, sigma, config)
         total_iters += iters
         z = euclidean_center(surface)
         if np.linalg.norm(z - surface.center) <= config.canonical_center_tol * sigma:
             break
+        del geo  # stale once resampled; free it before the next loop builds more
         surface = resample(surface, z)
     else:
         raise SolverError("re-centering loop did not stabilize")
 
-    geo = compute_geometry(surface, model)
     residual = float(np.abs(geo.mean_curvature - h_target).max() * sigma**2)
     eigenvalues = None
     if config.compute_eigenvalues:
@@ -230,6 +225,11 @@ def solve_cmc(
 
 
 def _newton_loop(surface, model, h_target, sigma, config):
+    """Newton iteration to tolerance; returns ``(surface, iterations, geometry)``.
+
+    ``geometry`` is the :class:`SurfaceGeometry` of the returned surface,
+    built for the convergence check.
+    """
     previous = np.inf
     increases = 0
     for it in range(config.max_newton):
@@ -238,7 +238,7 @@ def _newton_loop(surface, model, h_target, sigma, config):
         residual = np.abs(residual_field).max() * sigma**2
         if residual <= config.newton_tol:
             _log.debug("newton sigma=%g iter=%d residual=%.3e", sigma, it, residual)
-            return surface, it
+            return surface, it, geo
         if residual > previous * (1.0 + 1e-12):
             increases += 1
             if increases >= config.divergence_patience:
@@ -267,7 +267,7 @@ def _newton_loop(surface, model, h_target, sigma, config):
             f"Newton did not reach tolerance {config.newton_tol:.1e} in "
             f"{config.max_newton} iterations (residual {residual:.3e})"
         )
-    return surface, config.max_newton
+    return surface, config.max_newton, geo
 
 
 def solve_foliation(model: MetricModel, sigmas, config: SolverConfig | None = None) -> FoliationResult:
@@ -318,14 +318,19 @@ class RadialLapse:
     deviation_h2: float  # ||u - 1||_{H^2}
 
 
-def solve_radial_lapse(leaf: CmcLeaf, model: MetricModel) -> RadialLapse:
+def solve_radial_lapse(
+    leaf: CmcLeaf,
+    model: MetricModel,
+    geometry: SurfaceGeometry | None = None,
+) -> RadialLapse:
     """Solve ``L u = d(H_sigma)/d(sigma)`` on a solved leaf.
 
     The right-hand side is the constant ``2/sigma^2 - 8m/sigma^3``; the
     degree-one near-kernel carries the center drift of the foliation and
-    is resolved exactly through the eigenbasis.
+    is resolved exactly by :meth:`SurfaceGeometry.solve_operator` (the
+    matrix-free solve's l <= 1 block when the mass is positive).
     """
-    geo = compute_geometry(leaf.surface, model)
+    geo = geometry if geometry is not None else compute_geometry(leaf.surface, model)
     sigma = leaf.sigma
     rhs = (2.0 / sigma**2 - 8.0 * model.mass / sigma**3) * np.ones(geo.grid.n_nodes)
     u = geo.solve_operator(rhs)

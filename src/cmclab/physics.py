@@ -230,10 +230,12 @@ def solve_lapse(
 ) -> ScalarField:
     """Solve the evolution lapse equation ``L w = lapse_rhs`` on the leaf.
 
-    The near-kernel (degree-one) components are resolved exactly through
-    the eigenbasis; they carry the translation signal, amplified by about
-    ``sigma^3 / 6m``.  An exactly degenerate mode loaded by the right-hand
-    side (flat ambient with degree-one source) raises a solvability error.
+    The near-kernel (degree-one) components carry the translation signal,
+    amplified by about ``sigma^3 / 6m``; :meth:`SurfaceGeometry.solve_operator`
+    resolves them exactly (by the matrix-free solve's l <= 1 block when the
+    mass is positive).  In a flat ambient the eigenbasis solve raises a
+    solvability error when the right-hand side loads an exactly degenerate
+    mode (a degree-one source).
     """
     surface = _leaf_surface(leaf)
     geo = geometry if geometry is not None else compute_geometry(surface, data.base)

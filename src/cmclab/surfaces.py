@@ -410,11 +410,17 @@ class SurfaceGeometry:
         eigenvalue_floor: float = 1e-14,
         check_kernel_load: bool = False,
     ) -> np.ndarray:
-        """Solve ``L u = rhs`` in weak form through the eigendecomposition.
+        """Solve ``L u = rhs`` in weak form; returns the node values of ``u``.
 
-        Eigencomponents with ``|lambda|`` below ``eigenvalue_floor`` times
+        With positive mass the Galerkin system is solved matrix-free by
+        :meth:`galerkin_solve`, whose exact l <= 1 block resolves the
+        near-kernel translation modes; no dense matrix is formed.  Flat
+        ambients (mass <= 0), where translations are an exact kernel, and a
+        Krylov solve that does not converge go through the full
+        eigendecomposition instead.  Only that path reads the two flags:
+        eigencomponents with ``|lambda|`` below ``eigenvalue_floor`` times
         the spectral radius are treated as exact kernel and dropped
-        (minimal-norm solution).  With ``check_kernel_load`` a right-hand
+        (minimal-norm solution), and with ``check_kernel_load`` a right-hand
         side carrying a meaningful load on a kernel mode raises
         (solvability failure, e.g. degree-one sources in a flat ambient);
         Newton stepping leaves the check off because the flat-space
@@ -422,10 +428,16 @@ class SurfaceGeometry:
         """
         from .errors import SolvabilityError
 
-        A, M = self.operator_matrices
+        load = self.grid.adjoint_values(self.weights_induced * rhs_values)
+        if self.model.mass > 0.0:
+            try:
+                u, _ = self.galerkin_solve(load)
+            except SolverError:
+                pass
+            else:
+                return self.grid.synthesize_values(u)
         vals, vecs = self.operator_eigensystem
-        B, _, _ = self.grid.basis_matrices()
-        load = vecs.T @ (B.T @ (self.weights_induced * rhs_values))
+        load = vecs.T @ load
         cutoff = eigenvalue_floor * np.abs(vals).max()
         kernel = np.abs(vals) <= cutoff
         if check_kernel_load and np.any(kernel):
@@ -511,26 +523,24 @@ def low_eigenpairs(
     model: MetricModel,
     n: int = 3,
     geometry: SurfaceGeometry | None = None,
-    dense_limit: int = 32,
 ):
     """The n smallest-|lambda| eigenpairs of the stability operator.
 
     Eigenvalues are reported in the positive-Laplacian spectral convention
     ``L f = -lambda f`` (so the degree-one cluster of a mass-m leaf sits
     near ``+6m/sigma^3``, and higher modes of a Euclidean sphere are
-    positive).  Dense generalized symmetric solve up to ``dense_limit``
-    band limit; above it, matrix-free shift-invert Lanczos about 0 whose
-    inverse is :meth:`SurfaceGeometry.galerkin_solve`.  Eigenfields are
+    positive).  With positive mass: matrix-free shift-invert Lanczos about
+    0 whose inverse is :meth:`SurfaceGeometry.galerkin_solve`, at every
+    band limit.  Flat ambients (mass <= 0), whose translation modes are an
+    exact kernel that a shift about 0 cannot invert, use the dense
+    generalized symmetric eigendecomposition.  Eigenfields are
     L2(dmu)-orthonormal.
     """
     if n > 10:
         raise ConfigurationError("low_eigenpairs supports at most 10 pairs")
     geo = geometry if geometry is not None else compute_geometry(surface, model)
     grid = surface.grid
-    if grid.band_limit <= dense_limit:
-        vals, vecs = geo.operator_eigensystem
-        order = np.argsort(np.abs(vals), kind="stable")[:n]
-    else:
+    if geo.model.mass > 0.0:
         import scipy.sparse.linalg as spla
 
         shape = (grid.n_coeffs, grid.n_coeffs)
@@ -544,7 +554,9 @@ def low_eigenpairs(
             )
         except Exception as exc:  # pragma: no cover - iteration breakdown
             raise SolverError(f"shift-invert eigeniteration failed: {exc}") from exc
-        order = np.argsort(np.abs(vals), kind="stable")
+    else:
+        vals, vecs = geo.operator_eigensystem
+    order = np.argsort(np.abs(vals), kind="stable")
     pairs = []
     for idx in order[:n]:
         field = ScalarField(grid, grid.synthesize_values(vecs[:, idx]))

@@ -1,10 +1,15 @@
 """Config validation, CLI pipelines, report determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cmclab
 from cmclab.cli import main, run_experiment
 from cmclab.config import config_from_dict, parse_config
 from cmclab.errors import ConfigurationError
@@ -100,6 +105,35 @@ def test_reports_are_bit_identical_across_runs(tmp_path):
     first_json.pop("timings")
     second_json.pop("timings")
     assert first_json == second_json
+
+
+def test_reports_are_bit_identical_across_blas_thread_counts(tmp_path):
+    """Positive mass: a study run's reports do not depend on the BLAS thread count."""
+    config = write_config(
+        tmp_path,
+        "model:\n  kind: perturbed\n  m: 1.0\n  epsilon: 0.5\n  A: 0.1\n  shape: odd\n"
+        "  a: [0.2, -0.1, 0.3]\n  B: 1.0\n  b: [0.6, 0.0, 0.8]\n"
+        "run:\n  sigmas: [16.0, 32.0]\n  band_limit: 16\n",
+    )
+    src = str(Path(cmclab.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            PYTHONPATH=pythonpath,
+            OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads,
+            MKL_NUM_THREADS=threads,
+        )
+        out = tmp_path / f"threads{threads}"
+        command = ["study", "--config", str(config), "--out", str(out), "--log", "quiet"]
+        subprocess.run([sys.executable, "-m", "cmclab.cli", *command], env=env, check=True, timeout=600)
+        manifest = json.loads(Path(f"{out}.json").read_text())
+        assert manifest["status"]["study"] == "ok"
+        reports = json.dumps(manifest["reports"], sort_keys=True).encode()
+        outputs.append((reports, Path(f"{out}.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_evolve_time_symmetric_residuals_tiny(tmp_path):

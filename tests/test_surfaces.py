@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cmclab.cmc import SolverConfig, _newton_rhs_solve, target_mean_curvature
-from cmclab.errors import ConfigurationError, ResolutionWarning
-from cmclab.models import euclidean, perturbed_schwarzschild, schwarzschild
+from cmclab.cmc import (
+    CmcLeaf,
+    SolverConfig,
+    _newton_rhs_solve,
+    solve_radial_lapse,
+    target_mean_curvature,
+)
+from cmclab.errors import ConfigurationError, ResolutionWarning, SolverError
+from cmclab.models import euclidean, perturbed_schwarzschild, schwarzschild, synthetic_data
+from cmclab.physics import center_velocity_from_lapse, lapse_rhs, solve_lapse
 from cmclab.sphere import ScalarField, build_grid
 from cmclab.surfaces import (
     SurfaceEmbedding,
@@ -217,23 +224,71 @@ def test_matrix_free_operator_matches_dense_oracle(band_limit):
 
     vals = scipy.linalg.eigh(A, M, eigvals_only=True)
     dense = np.sort(-vals[np.argsort(np.abs(vals))[:3]])
-    pairs = low_eigenpairs(s, model, n=3, geometry=geo, dense_limit=band_limit - 1)
+    pairs = low_eigenpairs(s, model, n=3, geometry=geo)
     shift_invert = np.sort([lam for lam, _ in pairs])
     assert np.abs(shift_invert / dense - 1.0).max() <= 1e-10
 
 
-def test_shift_invert_branch_matches_dense_eigensystem():
-    """dense_limit below the band limit forces the matrix-free shift-invert branch."""
+@pytest.mark.parametrize("band_limit", [16, 32])
+def test_matrix_free_lapse_solves_match_dense_eigenbasis_oracle(band_limit):
+    """Positive mass: operator, evolution-lapse and radial-lapse solves against dense eigh."""
+    grid = build_grid(band_limit)
+    model = perturbed_schwarzschild(1.0, 0.5, 0.1, "odd")
+    sigma = 32.0
+    s = perturbed_sphere(grid, sigma)
+    geo = compute_geometry(s, model)
+    A, M = dense_galerkin(geo)
+    vals, vecs = scipy.linalg.eigh(A, M)
+    B, _, _ = grid.basis_matrices()
+
+    def oracle(rhs):
+        load = vecs.T @ (B.T @ (geo.weights_induced * rhs))
+        return grid.synthesize_values(vecs @ (load / vals))
+
+    def assert_close(u, ref):
+        assert np.linalg.norm(u - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    rhs = grid.synthesize_values(np.random.default_rng(4).standard_normal(grid.n_coeffs))
+    assert_close(geo.solve_operator(rhs), oracle(rhs))
+
+    data = synthetic_data(model, delta=1.0, amplitude=1.0, direction=(0.6, 0.0, 0.8))
+    w = solve_lapse(s, data, geometry=geo)
+    w_ref = ScalarField(grid, oracle(lapse_rhs(s, data, geometry=geo).values))
+    assert_close(w.values, w_ref.values)
+    velocity = center_velocity_from_lapse(s, w, geometry=geo)
+    velocity_ref = center_velocity_from_lapse(s, w_ref, geometry=geo)
+    assert np.linalg.norm(velocity - velocity_ref) <= 1e-10 * np.linalg.norm(velocity_ref)
+
+    leaf = CmcLeaf(
+        sigma=sigma,
+        surface=s,
+        residual=0.0,
+        iterations=0,
+        center=euclidean_center(s),
+        area_radius=geo.sigma_scale,
+    )
+    u = solve_radial_lapse(leaf, model, geometry=geo).field.values
+    assert_close(u, oracle(np.full(grid.n_nodes, 2.0 / sigma**2 - 8.0 * model.mass / sigma**3)))
+    # none of these solves assembled the dense matrices
+    assert "operator_matrices" not in vars(geo)
+
+    def krylov_failure(load):
+        raise SolverError("forced")
+
+    geo.galerkin_solve = krylov_failure  # falls through to the eigenbasis
+    assert_close(geo.solve_operator(rhs), oracle(rhs))
+
+
+def test_shift_invert_eigenpairs_match_dense_eigensystem():
+    """Positive mass: the matrix-free shift-invert eigenpairs span the dense eigenspace."""
     grid = build_grid(16)
     model = perturbed_schwarzschild(1.0, 0.5, 0.1, "odd")
     s = perturbed_sphere(grid, 24.0, seed=3)
     geo = compute_geometry(s, model)
-    dense = low_eigenpairs(s, model, n=3, geometry=geo)
-    sparse = low_eigenpairs(s, model, n=3, geometry=geo, dense_limit=8)
+    sparse = low_eigenpairs(s, model, n=3, geometry=geo)
     vals, vecs = geo.operator_eigensystem
     order = np.argsort(np.abs(vals), kind="stable")[:3]
     assert np.allclose([lam for lam, _ in sparse], -vals[order], rtol=1e-10, atol=0)
-    assert np.allclose([lam for lam, _ in dense], -vals[order], rtol=0, atol=0)
     # same eigenspace: the principal angles between the spans vanish
     span_dense = np.stack([grid.synthesize_values(vecs[:, i]) for i in order], axis=1)
     span_sparse = np.stack([field.values for _, field in sparse], axis=1)
