@@ -18,149 +18,74 @@ if _threads:
 
 __version__ = "0.1.0"
 
-from .sphere import (
-    SphericalGrid,
-    ScalarField,
-    SpectralCoeffs,
-    build_grid,
-    analyze,
-    synthesize,
-    integrate,
-    sphere_laplacian,
-    tangential_gradient,
-    project_low_modes,
-)
+# what cli, acceptance and config import from their sibling modules;
+# exception types are imported from cmclab.errors
+from .sphere import build_grid
 from .models import (
-    DecayClass,
-    MetricModel,
     InitialDataModel,
+    MetricModel,
     euclidean,
-    schwarzschild,
-    translated,
     interpolated,
     perturbed_schwarzschild,
+    schwarzschild,
     synthetic_data,
     time_symmetric_data,
-    artificial_data,
-    christoffel,
-    ricci,
-    scalar_curvature,
-    momentum_density,
-    energy_density,
-    verify_decay,
+    translated,
 )
-from .surfaces import (
-    SurfaceEmbedding,
-    SurfaceGeometry,
-    compute_geometry,
-    euclidean_center,
-    stability_operator_apply,
-    low_eigenpairs,
-    sobolev_norm,
-    resample,
-    surface_divergence,
-)
+from .surfaces import SurfaceEmbedding, compute_geometry, low_eigenpairs
 from .cmc import (
     SolverConfig,
-    CmcLeaf,
-    FoliationResult,
-    RadialLapse,
-    target_mean_curvature,
-    newton_step,
     solve_cmc,
     solve_foliation,
     solve_radial_lapse,
+    target_mean_curvature,
 )
 from .physics import (
-    MomentumReport,
-    EvolutionReport,
-    CenterReport,
-    ArtificialFlowResult,
-    quasi_local_momentum,
     adm_center_integral,
-    adm_center_from_leaf_formula,
-    lapse_rhs,
-    solve_lapse,
-    center_velocity_from_lapse,
-    evolution_residual,
     artificial_flow_integrate,
     cmc_adm_center_report,
+    evolution_residual,
+    quasi_local_momentum,
 )
-from .fits import DecayFit, RichardsonResult, fit_decay_exponent, richardson_extrapolate
-from .config import ExperimentConfig, parse_config
+from .fits import fit_decay_exponent, richardson_extrapolate
+from .config import ExperimentConfig, config_from_dict, parse_config
 from .acceptance import run_acceptance
 
 __all__ = [
     "__version__",
     # sphere calculus
-    "SphericalGrid",
-    "ScalarField",
-    "SpectralCoeffs",
     "build_grid",
-    "analyze",
-    "synthesize",
-    "integrate",
-    "sphere_laplacian",
-    "tangential_gradient",
-    "project_low_modes",
     # metric models
-    "DecayClass",
-    "MetricModel",
     "InitialDataModel",
+    "MetricModel",
     "euclidean",
-    "schwarzschild",
-    "translated",
     "interpolated",
     "perturbed_schwarzschild",
+    "schwarzschild",
     "synthetic_data",
     "time_symmetric_data",
-    "artificial_data",
-    "christoffel",
-    "ricci",
-    "scalar_curvature",
-    "momentum_density",
-    "energy_density",
-    "verify_decay",
+    "translated",
     # surface geometry
     "SurfaceEmbedding",
-    "SurfaceGeometry",
     "compute_geometry",
-    "euclidean_center",
-    "stability_operator_apply",
     "low_eigenpairs",
-    "sobolev_norm",
-    "resample",
-    "surface_divergence",
     # CMC solver
     "SolverConfig",
-    "CmcLeaf",
-    "FoliationResult",
-    "RadialLapse",
-    "target_mean_curvature",
-    "newton_step",
     "solve_cmc",
     "solve_foliation",
     "solve_radial_lapse",
+    "target_mean_curvature",
     # physics
-    "MomentumReport",
-    "EvolutionReport",
-    "CenterReport",
-    "ArtificialFlowResult",
-    "quasi_local_momentum",
     "adm_center_integral",
-    "adm_center_from_leaf_formula",
-    "lapse_rhs",
-    "solve_lapse",
-    "center_velocity_from_lapse",
-    "evolution_residual",
     "artificial_flow_integrate",
     "cmc_adm_center_report",
+    "evolution_residual",
+    "quasi_local_momentum",
     # fits, config, acceptance
-    "DecayFit",
-    "RichardsonResult",
     "fit_decay_exponent",
     "richardson_extrapolate",
     "ExperimentConfig",
+    "config_from_dict",
     "parse_config",
     "run_acceptance",
 ]

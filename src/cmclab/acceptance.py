@@ -22,7 +22,6 @@ from .models import (
     translated,
 )
 from .physics import (
-    adm_center_from_leaf_formula,
     adm_center_integral,
     artificial_flow_integrate,
     evolution_residual,
@@ -101,9 +100,6 @@ class AcceptanceSuite:
         self._solve_seconds: dict = {}
         self.schw = schwarzschild(MASS)
         self.odd = perturbed_schwarzschild(MASS, 0.5, 0.1, "odd")
-        # one-time spectral tables are shared lab infrastructure; build them
-        # up front so per-solve timings measure the solves themselves
-        build_grid(band_limit).basis_matrices()
 
     def leaf(self, tag: str, model, sigma: float):
         key = (tag, float(sigma))
@@ -186,7 +182,7 @@ class AcceptanceSuite:
         rows = []
         for sigma in sigmas:
             leaf = self.leaf("odd", self.odd, sigma)
-            formula = adm_center_from_leaf_formula(self.odd, sigma)
+            formula = adm_center_integral(self.odd, sigma)
             gap = float(np.linalg.norm(leaf.center - formula))
             gaps.append(gap)
             rows.append({"sigma": sigma, "cmc": leaf.center.tolist(), "formula": formula.tolist(), "gap": gap})

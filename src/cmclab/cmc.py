@@ -2,9 +2,9 @@
 
 Each leaf solves ``H(surface) = -2/sigma + 4m/sigma^2`` as a radial graph.
 The Newton update solves the stability operator in weak form,
-``L u = H_target - H``, and adds ``u`` to the radial field; on the round
-Euclidean sphere this reduces to the classic 1-D iteration on
-``r -> -2/r``.  The converged representation is re-centered so that the
+``L u = H_target - H`` (:meth:`SurfaceGeometry.weak_solve`), and adds ``u``
+to the radial field; on the round Euclidean sphere this reduces to the
+classic 1-D iteration on ``r -> -2/r``.  The converged representation is re-centered so that the
 parametrization center coincides with the Euclidean coordinate centroid.
 """
 
@@ -30,13 +30,20 @@ from .surfaces import (
 
 _log = logging.getLogger(__name__)
 
+#: the final re-centering loop stops once the centroid is this close to the
+#: parametrization center, relative to sigma
+_CANONICAL_CENTER_TOL = 1e-9
+#: continuation floor: leaves need sigma >= this factor times the mass
+_SIGMA_FLOOR_FACTOR = 8.0
+#: consecutive residual increases that abort a Newton loop
+_DIVERGENCE_PATIENCE = 3
+
 __all__ = [
     "SolverConfig",
     "CmcLeaf",
     "FoliationResult",
     "RadialLapse",
     "target_mean_curvature",
-    "newton_step",
     "solve_cmc",
     "solve_foliation",
     "solve_radial_lapse",
@@ -50,7 +57,7 @@ class SolverConfig:
     ``newton_tol`` bounds the scaled residual ``||H - H_sigma||_inf *
     sigma^2``.  Re-centering triggers during the iteration once the
     centroid drifts past ``recenter_threshold * sigma`` and at the end
-    until it is below ``canonical_center_tol * sigma``; the published
+    until it is below ``_CANONICAL_CENTER_TOL * sigma``; the published
     representation therefore has its parametrization center on the
     Euclidean centroid.
     """
@@ -59,10 +66,6 @@ class SolverConfig:
     newton_tol: float = 1e-10
     max_newton: int = 30
     recenter_threshold: float = 0.1
-    canonical_center_tol: float = 1e-9
-    sigma_floor_factor: float = 8.0
-    divergence_patience: int = 3
-    eigenvalue_floor: float = 1e-14
     compute_eigenvalues: bool = True
 
     def __post_init__(self):
@@ -119,56 +122,6 @@ def target_mean_curvature(sigma: float, mass: float) -> float:
     return -2.0 / sigma + 4.0 * mass / sigma**2
 
 
-def _newton_rhs_solve(geo: SurfaceGeometry, residual_field: np.ndarray, config: SolverConfig):
-    """Weak-form solve of ``L u = residual_field``.
-
-    Returns ``(coefficients, krylov_iterations)``; the count is ``None``
-    when the step went through the regularized eigenbasis solve.
-    """
-    if geo.model.mass > 0.0:
-        load = geo.grid.adjoint_values(geo.weights_induced * residual_field)
-        try:
-            return geo.galerkin_solve(load)
-        except SolverError:
-            pass
-    # flat ambient (translation modes are an exact kernel) or an unconverged
-    # Krylov solve: regularized eigenbasis solve
-    u_vals = geo.solve_operator(residual_field, eigenvalue_floor=config.eigenvalue_floor)
-    return geo.grid.analyze_values(u_vals), None
-
-
-def newton_step(
-    surface: SurfaceEmbedding,
-    model: MetricModel,
-    h_target: float,
-    config: SolverConfig | None = None,
-    geometry: SurfaceGeometry | None = None,
-):
-    """One Newton update toward ``H = h_target``.
-
-    Returns ``(new_surface, residual_before)`` with the scaled residual
-    ``||H - h_target||_inf * sigma_target^2`` of the *input* surface
-    (``sigma_target`` from the target curvature and the model mass).
-    """
-    config = config or SolverConfig(band_limit=surface.grid.band_limit)
-    geo = geometry if geometry is not None else compute_geometry(surface, model)
-    residual_field = h_target - geo.mean_curvature
-    sigma = _sigma_of_target(h_target, model.mass)
-    residual = np.abs(residual_field).max() * sigma**2
-    du, _ = _newton_rhs_solve(geo, residual_field, config)
-    return surface.with_radius(surface.rho_coeffs + du), float(residual)
-
-
-def _sigma_of_target(h_target: float, mass: float) -> float:
-    """Mean-curvature radius of a target value (root of H_sigma = h)."""
-    if h_target >= 0:
-        raise ConfigurationError("target mean curvature must be negative")
-    disc = 4.0 + 16.0 * mass * h_target
-    if disc < 0:
-        raise ConfigurationError("target mean curvature below the foliation range")
-    return (-2.0 - np.sqrt(disc)) / (2.0 * h_target)
-
-
 def solve_cmc(
     model: MetricModel,
     sigma: float,
@@ -179,15 +132,15 @@ def solve_cmc(
     """Solve for the leaf of mean curvature ``-2/sigma + 4m/sigma^2``.
 
     The returned surface is re-centered: its parametrization center agrees
-    with its Euclidean coordinate centroid to ``canonical_center_tol *
+    with its Euclidean coordinate centroid to ``_CANONICAL_CENTER_TOL *
     sigma``.
     """
     config = config or SolverConfig()
-    floor = config.sigma_floor_factor * model.mass
+    floor = _SIGMA_FLOOR_FACTOR * model.mass
     if enforce_floor and sigma < floor:
         raise ConfigurationError(
             f"sigma = {sigma} below the continuation floor {floor} = "
-            f"{config.sigma_floor_factor:g} * m"
+            f"{_SIGMA_FLOOR_FACTOR:g} * m"
         )
     grid = build_grid(config.band_limit)
     h_target = target_mean_curvature(sigma, model.mass)
@@ -201,7 +154,7 @@ def solve_cmc(
         surface, iters, geo = _newton_loop(surface, model, h_target, sigma, config)
         total_iters += iters
         z = euclidean_center(surface)
-        if np.linalg.norm(z - surface.center) <= config.canonical_center_tol * sigma:
+        if np.linalg.norm(z - surface.center) <= _CANONICAL_CENTER_TOL * sigma:
             break
         del geo  # stale once resampled; free it before the next loop builds more
         surface = resample(surface, z)
@@ -241,7 +194,7 @@ def _newton_loop(surface, model, h_target, sigma, config):
             return surface, it, geo
         if residual > previous * (1.0 + 1e-12):
             increases += 1
-            if increases >= config.divergence_patience:
+            if increases >= _DIVERGENCE_PATIENCE:
                 raise DivergenceError(
                     f"residual increased {increases} consecutive steps "
                     f"(now {residual:.3e})"
@@ -249,7 +202,7 @@ def _newton_loop(surface, model, h_target, sigma, config):
         else:
             increases = 0
         previous = residual
-        du, krylov = _newton_rhs_solve(geo, residual_field, config)
+        du, krylov = geo.weak_solve(residual_field)
         _log.debug(
             "newton sigma=%g iter=%d residual=%.3e krylov=%s",
             sigma, it, residual, "eigen-fallback" if krylov is None else krylov,

@@ -44,7 +44,6 @@ __all__ = [
     "ArtificialFlowResult",
     "quasi_local_momentum",
     "adm_center_integral",
-    "adm_center_from_leaf_formula",
     "lapse_rhs",
     "solve_lapse",
     "center_velocity_from_lapse",
@@ -175,11 +174,6 @@ def adm_center_integral(
     )
     integral = (grid.weights[:, None] * vec).sum(axis=0) * radius**2
     return center + integral / (16.0 * np.pi * model.mass)
-
-
-def adm_center_from_leaf_formula(model: MetricModel, sigma: float, band_limit: int = 16) -> np.ndarray:
-    """Leaf-center approximation: the center flux integral at radius sigma."""
-    return adm_center_integral(model, sigma, band_limit=band_limit)
 
 
 def lapse_rhs(
@@ -438,7 +432,7 @@ def cmc_adm_center_report(
     if leaves is None:
         leaves = [solve_cmc(model, s, config) for s in sigmas]
     cmc = np.array([euclidean_center(leaf.surface) for leaf in leaves])
-    formula = np.array([adm_center_from_leaf_formula(model, s) for s in sigmas])
+    formula = np.array([adm_center_integral(model, s) for s in sigmas])
     if adm_radii is None:
         adm_radii = [32.0 * 2**k for k in range(4)]
     adm_radii = np.asarray([float(r) for r in adm_radii])

@@ -34,18 +34,7 @@ from scipy.special import roots_legendre
 
 from .errors import ConfigurationError, GridMismatchError
 
-__all__ = [
-    "SphericalGrid",
-    "ScalarField",
-    "SpectralCoeffs",
-    "build_grid",
-    "analyze",
-    "synthesize",
-    "integrate",
-    "sphere_laplacian",
-    "tangential_gradient",
-    "project_low_modes",
-]
+__all__ = ["SphericalGrid", "ScalarField", "build_grid"]
 
 FOUR_PI = 4.0 * np.pi
 #: ``n_i = DEGREE_ONE_SCALE * Y_{1,*}`` for the Cartesian direction fields.
@@ -331,78 +320,3 @@ class ScalarField:
         if not np.all(np.isfinite(v)):
             raise ConfigurationError("scalar field contains non-finite values")
         object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
-class SpectralCoeffs:
-    """Real spherical-harmonic coefficients, slot ``l*l + l + m``."""
-
-    grid: SphericalGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.n_coeffs,):
-            raise GridMismatchError(
-                f"expected {self.grid.n_coeffs} coefficients, got shape {v.shape}"
-            )
-        object.__setattr__(self, "values", v)
-
-
-def analyze(field: ScalarField) -> SpectralCoeffs:
-    """Forward spherical-harmonic transform."""
-    return SpectralCoeffs(field.grid, field.grid.analyze_values(field.values))
-
-
-def synthesize(coeffs: SpectralCoeffs) -> ScalarField:
-    """Backward spherical-harmonic transform."""
-    return ScalarField(coeffs.grid, coeffs.grid.synthesize_values(coeffs.values))
-
-
-def integrate(field: ScalarField, weight: ScalarField | None = None) -> float:
-    """Integral over the round sphere, optionally against a weight field."""
-    if weight is None:
-        return field.grid.integrate_values(field.values)
-    if weight.grid is not field.grid:
-        raise GridMismatchError("weight field lives on a different grid")
-    return field.grid.integrate_values(field.values * weight.values)
-
-
-def sphere_laplacian(coeffs: SpectralCoeffs) -> SpectralCoeffs:
-    """Round-sphere Laplace-Beltrami operator: ``Y_lm -> -l(l+1) Y_lm``."""
-    l = coeffs.grid.coeff_l
-    return SpectralCoeffs(coeffs.grid, -l * (l + 1.0) * coeffs.values)
-
-
-def tangential_gradient(field: ScalarField) -> np.ndarray:
-    """Round-sphere surface gradient in ambient Cartesian components.
-
-    Returns shape ``(n_nodes, 3)``; the result is tangent to the unit
-    sphere at every node.
-    """
-    grid = field.grid
-    c = grid.analyze_values(field.values)
-    ft = grid.synthesize_values(c, dtheta=1)
-    fp = grid.synthesize_values(c, dphi=1)
-    st = np.repeat(grid.sin_theta, grid.n_phi)
-    return ft[:, None] * grid.d_dir_dtheta + (fp / st**2)[:, None] * grid.d_dir_dphi
-
-
-def project_low_modes(field: ScalarField) -> tuple[float, np.ndarray]:
-    """Mean and Cartesian degree-one components of a field.
-
-    Decomposes ``f = f0 + a . n + (higher modes)`` with ``n`` the unit
-    direction field; returns ``(f0, a)``.  The remainder is L2-orthogonal
-    to degrees <= 1 on the round sphere.
-    """
-    grid = field.grid
-    c = grid.analyze_values(field.values)
-    f0 = c[grid.coeff_index(0, 0)] / np.sqrt(FOUR_PI)
-    a = np.array(
-        [
-            c[grid.coeff_index(1, 1)],
-            c[grid.coeff_index(1, -1)],
-            c[grid.coeff_index(1, 0)],
-        ]
-    ) / DEGREE_ONE_SCALE
-    return float(f0), a

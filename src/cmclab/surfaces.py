@@ -25,6 +25,7 @@ from .errors import (
     ConfigurationError,
     GridMismatchError,
     ResolutionWarning,
+    SolvabilityError,
     SolverError,
 )
 from .models import MetricModel, _christoffel_from, ricci
@@ -35,7 +36,6 @@ __all__ = [
     "SurfaceGeometry",
     "compute_geometry",
     "euclidean_center",
-    "stability_operator_apply",
     "low_eigenpairs",
     "sobolev_norm",
     "resample",
@@ -53,6 +53,13 @@ _KRYLOV_RTOL = 1e-13
 #: needs about 10 steps, independent of the band limit)
 _KRYLOV_RESTART = 40
 _KRYLOV_CYCLES = 5
+#: eigenvalues below this fraction of the spectral radius are exact kernel
+#: in the eigenbasis solve
+_EIGENVALUE_FLOOR = 1e-14
+#: iteration limit and relative step tolerance of the ray intersection in
+#: :func:`resample`
+_RESAMPLE_MAX_ITER = 60
+_RESAMPLE_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -404,41 +411,34 @@ class SurfaceGeometry:
         u = scipy.linalg.solve(M, A @ c, assume_a="pos")
         return self.grid.synthesize_values(u)
 
-    def solve_operator(
-        self,
-        rhs_values: np.ndarray,
-        eigenvalue_floor: float = 1e-14,
-        check_kernel_load: bool = False,
-    ) -> np.ndarray:
-        """Solve ``L u = rhs`` in weak form; returns the node values of ``u``.
+    def weak_solve(
+        self, rhs_values: np.ndarray, check_kernel_load: bool = False
+    ) -> tuple[np.ndarray, int | None]:
+        """Solve ``L u = rhs`` in weak form; returns ``(coeffs, krylov_iterations)``.
 
-        With positive mass the Galerkin system is solved matrix-free by
-        :meth:`galerkin_solve`, whose exact l <= 1 block resolves the
-        near-kernel translation modes; no dense matrix is formed.  Flat
-        ambients (mass <= 0), where translations are an exact kernel, and a
-        Krylov solve that does not converge go through the full
-        eigendecomposition instead.  Only that path reads the two flags:
-        eigencomponents with ``|lambda|`` below ``eigenvalue_floor`` times
-        the spectral radius are treated as exact kernel and dropped
-        (minimal-norm solution), and with ``check_kernel_load`` a right-hand
-        side carrying a meaningful load on a kernel mode raises
-        (solvability failure, e.g. degree-one sources in a flat ambient);
-        Newton stepping leaves the check off because the flat-space
-        translation modes are pure gauge there.
+        The load is ``adjoint_values(weights_induced * rhs)``.  With positive
+        mass the Galerkin system is solved once by :meth:`galerkin_solve`,
+        whose exact l <= 1 block resolves the near-kernel translation modes;
+        no dense matrix is formed.  Flat ambients (mass <= 0), where
+        translations are an exact kernel, and a Krylov solve that raises
+        :class:`SolverError` go through the full eigendecomposition instead,
+        and the iteration count is ``None``.  That path drops
+        eigencomponents with ``|lambda|`` below ``_EIGENVALUE_FLOOR`` times
+        the spectral radius as exact kernel (minimal-norm solution); with
+        ``check_kernel_load`` a right-hand side carrying a meaningful load
+        on a kernel mode raises :class:`SolvabilityError` (e.g. degree-one
+        sources in a flat ambient).  Newton stepping leaves the check off
+        because the flat-space translation modes are pure gauge there.
         """
-        from .errors import SolvabilityError
-
         load = self.grid.adjoint_values(self.weights_induced * rhs_values)
         if self.model.mass > 0.0:
             try:
-                u, _ = self.galerkin_solve(load)
+                return self.galerkin_solve(load)
             except SolverError:
                 pass
-            else:
-                return self.grid.synthesize_values(u)
         vals, vecs = self.operator_eigensystem
         load = vecs.T @ load
-        cutoff = eigenvalue_floor * np.abs(vals).max()
+        cutoff = _EIGENVALUE_FLOOR * np.abs(vals).max()
         kernel = np.abs(vals) <= cutoff
         if check_kernel_load and np.any(kernel):
             # loads are bounded by ||rhs||_{L^2(dmu)} for M-orthonormal modes
@@ -450,7 +450,11 @@ class SurfaceGeometry:
                     f"(|load| = {bad:.3e}, ||rhs|| = {rhs_scale:.3e})"
                 )
         coeffs_eig = np.where(kernel, 0.0, load / np.where(kernel, 1.0, vals))
-        u = vecs @ coeffs_eig
+        return vecs @ coeffs_eig, None
+
+    def solve_operator(self, rhs_values: np.ndarray, check_kernel_load: bool = False) -> np.ndarray:
+        """Node values of the :meth:`weak_solve` solution of ``L u = rhs``."""
+        u, _ = self.weak_solve(rhs_values, check_kernel_load)
         return self.grid.synthesize_values(u)
 
     def _check_tail(self, coeffs: np.ndarray):
@@ -505,19 +509,6 @@ def euclidean_center(
     return surface.center + (w @ offsets) / w.sum()
 
 
-def stability_operator_apply(
-    surface: SurfaceEmbedding,
-    model: MetricModel,
-    f: ScalarField,
-    geometry: SurfaceGeometry | None = None,
-) -> ScalarField:
-    """Apply ``L f = Delta f + (|k|^2 + Ric(nu, nu)) f`` on the surface."""
-    if f.grid is not surface.grid:
-        raise GridMismatchError("field and surface live on different grids")
-    geo = geometry if geometry is not None else compute_geometry(surface, model)
-    return ScalarField(surface.grid, geo.apply_operator(f.values))
-
-
 def low_eigenpairs(
     surface: SurfaceEmbedding,
     model: MetricModel,
@@ -536,8 +527,8 @@ def low_eigenpairs(
     generalized symmetric eigendecomposition.  Eigenfields are
     L2(dmu)-orthonormal.
     """
-    if n > 10:
-        raise ConfigurationError("low_eigenpairs supports at most 10 pairs")
+    if not 1 <= n <= 10:
+        raise ConfigurationError(f"low_eigenpairs supports 1 to 10 pairs, got n={n}")
     geo = geometry if geometry is not None else compute_geometry(surface, model)
     grid = surface.grid
     if geo.model.mass > 0.0:
@@ -667,8 +658,6 @@ def resample(
     surface: SurfaceEmbedding,
     new_center,
     grid: SphericalGrid | None = None,
-    max_iter: int = 60,
-    tol: float = 1e-13,
 ) -> SurfaceEmbedding:
     """Re-express the same point set as a radial graph about a new center.
 
@@ -691,7 +680,7 @@ def resample(
     N = grid.directions
     rho_scale = float(surface.radius_values.mean())
     t = np.full(grid.n_nodes, rho_scale)
-    for _ in range(max_iter):
+    for _ in range(_RESAMPLE_MAX_ITER):
         q = d[None, :] + t[:, None] * N
         qn = np.linalg.norm(q, axis=1)
         ct = np.clip(q[:, 2] / qn, -1.0, 1.0)
@@ -707,7 +696,7 @@ def resample(
         t_new = -dN + np.sqrt(disc)
         shift = np.abs(t_new - t).max()
         t = t_new
-        if shift < tol * rho_scale:
+        if shift < _RESAMPLE_TOL * rho_scale:
             break
     else:
         raise SolverError("resampling fixed point did not converge")

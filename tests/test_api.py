@@ -1,0 +1,44 @@
+"""Public names: every ``__all__`` entry resolves, and the benchmark's hooks still attach."""
+
+import importlib
+import importlib.util
+import pkgutil
+import sys
+from pathlib import Path
+
+import pytest
+
+import cmclab
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+MODULES = sorted(info.name for info in pkgutil.iter_modules(cmclab.__path__))
+
+
+@pytest.mark.parametrize("name", ["cmclab"] + [f"cmclab.{m}" for m in MODULES])
+def test_all_entries_resolve(name):
+    module = importlib.import_module(name)
+    for entry in getattr(module, "__all__", ()):
+        getattr(module, entry)
+
+
+def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
+    """The benchmark wraps cmclab names by lookup; a renamed hook target raises here."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # dataclasses resolve it by name
+    spec.loader.exec_module(spans)
+    from cmclab import cmc, surfaces
+
+    geometry_init = surfaces.SurfaceGeometry.__dict__["__init__"]
+    eigensystem = surfaces.SurfaceGeometry.__dict__["operator_eigensystem"]
+    solve_cmc = cmc.solve_cmc
+    uninstall = spans.install(spans.Tracer())
+    try:
+        assert surfaces.SurfaceGeometry.__dict__["__init__"] is not geometry_init
+        assert surfaces.SurfaceGeometry.__dict__["operator_eigensystem"] is not eigensystem
+        assert cmc.solve_cmc is not solve_cmc
+    finally:
+        uninstall()
+    assert surfaces.SurfaceGeometry.__dict__["__init__"] is geometry_init
+    assert surfaces.SurfaceGeometry.__dict__["operator_eigensystem"] is eigensystem
+    assert cmc.solve_cmc is solve_cmc

@@ -13,7 +13,6 @@ from cmclab.models import euclidean, perturbed_schwarzschild, schwarzschild, tra
 from cmclab.sphere import build_grid
 from cmclab.cmc import (
     SolverConfig,
-    newton_step,
     solve_cmc,
     solve_foliation,
     solve_radial_lapse,
@@ -41,6 +40,18 @@ def oracle_radius(m, sigma):
 CFG = SolverConfig(band_limit=16, compute_eigenvalues=False)
 
 
+def newton_step(surface, model, h_target):
+    """One Newton update through ``SurfaceGeometry.weak_solve``.
+
+    Returns the updated surface and the residual field ``h_target - H`` of
+    the input surface.
+    """
+    geo = compute_geometry(surface, model)
+    residual = h_target - geo.mean_curvature
+    du, _ = geo.weak_solve(residual)
+    return surface.with_radius(surface.rho_coeffs + du), residual
+
+
 def test_target_mean_curvature_values():
     assert target_mean_curvature(10.0, 1.0) == pytest.approx(-0.16, abs=1e-15)
     assert target_mean_curvature(2.0, 0.0) == pytest.approx(-1.0, abs=1e-15)
@@ -54,7 +65,7 @@ def test_newton_step_on_exact_leaf_is_identity():
     sigma = 6.0
     s = SurfaceEmbedding.round_sphere(grid, sigma)
     new, residual = newton_step(s, euclidean(), -2.0 / sigma)
-    assert residual < 1e-12
+    assert np.abs(residual).max() * sigma**2 < 1e-12
     assert np.abs(new.radius_values - sigma).max() < 1e-12
 
 

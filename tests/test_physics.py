@@ -16,7 +16,6 @@ from cmclab.models import (
 from cmclab.cmc import SolverConfig, solve_cmc
 from cmclab.fits import fit_decay_exponent
 from cmclab.physics import (
-    adm_center_from_leaf_formula,
     adm_center_integral,
     artificial_flow_integrate,
     center_velocity_from_lapse,
@@ -139,7 +138,7 @@ def test_adm_leaf_formula_matches_odd_model_closed_form():
     eps, A = 0.5, 0.1
     model = perturbed_schwarzschild(M, eps, A, "odd")
     for s in (32.0, 128.0):
-        z = adm_center_from_leaf_formula(model, s)
+        z = adm_center_integral(model, s)
         expect = A * (2 + eps) / (6 * M) * s ** (1 - eps)
         assert z[0] == pytest.approx(expect, rel=1e-6)
         assert abs(z[1]) < 1e-12 and abs(z[2]) < 1e-12

@@ -6,25 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmclab.errors import ConfigurationError, GridMismatchError
-from cmclab.sphere import (
-    FOUR_PI,
-    ScalarField,
-    SpectralCoeffs,
-    _legendre_tables,
-    analyze,
-    build_grid,
-    integrate,
-    project_low_modes,
-    sphere_laplacian,
-    synthesize,
-    tangential_gradient,
-)
+from cmclab.models import euclidean
+from cmclab.sphere import DEGREE_ONE_SCALE, FOUR_PI, ScalarField, _legendre_tables, build_grid
+from cmclab.surfaces import SurfaceEmbedding, compute_geometry
 
 
 def unit_coeffs(grid, l, m):
     c = np.zeros(grid.n_coeffs)
     c[grid.coeff_index(l, m)] = 1.0
     return c
+
+
+def low_modes(grid, values):
+    """Mean and Cartesian degree-one components ``(f0, a)`` of ``f = f0 + a . n + ...``."""
+    c = grid.analyze_values(values)
+    f0 = c[grid.coeff_index(0, 0)] / np.sqrt(FOUR_PI)
+    a = np.array([c[grid.coeff_index(1, m)] for m in (1, -1, 0)]) / DEGREE_ONE_SCALE
+    return float(f0), a
 
 
 def test_grid_node_count_and_weight_sum():
@@ -57,15 +55,14 @@ def test_quadrature_kills_harmonics_up_to_twice_band_limit():
 
 def test_analyze_single_harmonic():
     grid = build_grid(6)
-    f = ScalarField(grid, grid.synthesize_values(unit_coeffs(grid, 2, 1)))
-    c = analyze(f).values
+    c = grid.analyze_values(grid.synthesize_values(unit_coeffs(grid, 2, 1)))
     expected = unit_coeffs(grid, 2, 1)
     assert np.allclose(c, expected, atol=1e-13)
 
 
 def test_constant_field_coefficient():
     grid = build_grid(5)
-    c = analyze(ScalarField(grid, np.ones(grid.n_nodes))).values
+    c = grid.analyze_values(np.ones(grid.n_nodes))
     assert c[0] == pytest.approx(np.sqrt(FOUR_PI), rel=1e-14)
     assert np.max(np.abs(c[1:])) < 1e-14
 
@@ -100,8 +97,7 @@ def test_parseval():
 
 def test_integrate_examples():
     grid = build_grid(8)
-    one = ScalarField(grid, np.ones(grid.n_nodes))
-    assert integrate(one) == pytest.approx(FOUR_PI, rel=1e-14)
+    assert grid.integrate_values(np.ones(grid.n_nodes)) == pytest.approx(FOUR_PI, rel=1e-14)
     nu1 = grid.directions[:, 0]
     assert grid.integrate_values(nu1**2) == pytest.approx(FOUR_PI / 3, rel=1e-13)
     y32 = grid.synthesize_values(unit_coeffs(grid, 3, 2))
@@ -110,20 +106,9 @@ def test_integrate_examples():
 
 def test_integrate_weighted_and_grid_mismatch():
     grid = build_grid(6)
-    f = ScalarField(grid, np.ones(grid.n_nodes))
-    w = ScalarField(grid, grid.directions[:, 2] ** 2)
-    assert integrate(f, w) == pytest.approx(FOUR_PI / 3, rel=1e-13)
-    other = build_grid(7)
-    with pytest.raises(GridMismatchError):
-        integrate(f, ScalarField(other, np.ones(other.n_nodes)))
-
-
-def test_sphere_laplacian_eigenrelation():
-    grid = build_grid(9)
-    for l, m in [(1, 0), (2, -2), (2, 1), (0, 0), (7, 5)]:
-        c = SpectralCoeffs(grid, unit_coeffs(grid, l, m))
-        lap = sphere_laplacian(c).values
-        assert np.allclose(lap, -l * (l + 1.0) * c.values, atol=1e-15)
+    f = np.ones(grid.n_nodes)
+    w = grid.directions[:, 2] ** 2
+    assert grid.integrate_values(f * w) == pytest.approx(FOUR_PI / 3, rel=1e-13)
 
 
 def test_node_level_laplacian_matches_eigenvalue():
@@ -156,9 +141,9 @@ def test_mixed_derivative_against_analytic_field():
 
 def test_tangential_gradient_norm_and_tangency():
     grid = build_grid(10)
+    geo = compute_geometry(SurfaceEmbedding.round_sphere(grid, 1.0), euclidean())
     for l, m in [(1, 1), (4, -3), (6, 0)]:
-        f = ScalarField(grid, grid.synthesize_values(unit_coeffs(grid, l, m)))
-        grad = tangential_gradient(f)
+        grad = geo.tangential_gradient(grid.synthesize_values(unit_coeffs(grid, l, m)))
         norm2 = grid.integrate_values(np.sum(grad**2, axis=1))
         assert norm2 == pytest.approx(l * (l + 1.0), rel=1e-11)
         radial = np.abs(np.sum(grad * grid.directions, axis=1)).max()
@@ -168,16 +153,16 @@ def test_tangential_gradient_norm_and_tangency():
 def test_project_low_modes_examples():
     grid = build_grid(8)
     nu = grid.directions
-    f0, a = project_low_modes(ScalarField(grid, 5.0 + nu[:, 2]))
+    f0, a = low_modes(grid, 5.0 + nu[:, 2])
     assert f0 == pytest.approx(5.0, abs=1e-13)
     assert np.allclose(a, [0, 0, 1], atol=1e-13)
 
     y20 = grid.synthesize_values(unit_coeffs(grid, 2, 0))
-    f0, a = project_low_modes(ScalarField(grid, y20))
+    f0, a = low_modes(grid, y20)
     assert abs(f0) < 1e-14
     assert np.allclose(a, 0, atol=1e-14)
 
-    f0, a = project_low_modes(ScalarField(grid, nu[:, 0] + 2 * nu[:, 1]))
+    f0, a = low_modes(grid, nu[:, 0] + 2 * nu[:, 1])
     assert abs(f0) < 1e-14
     assert np.allclose(a, [1, 2, 0], atol=1e-13)
 
@@ -186,7 +171,7 @@ def test_projection_remainder_orthogonal():
     grid = build_grid(9)
     rng = np.random.default_rng(5)
     f = grid.synthesize_values(rng.standard_normal(grid.n_coeffs))
-    f0, a = project_low_modes(ScalarField(grid, f))
+    f0, a = low_modes(grid, f)
     rem = f - f0 - grid.directions @ a
     assert abs(grid.integrate_values(rem)) < 1e-12 * (1 + np.abs(f).max())
     for i in range(3):
