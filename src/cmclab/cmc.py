@@ -69,8 +69,14 @@ class SolverConfig:
     compute_eigenvalues: bool = True
 
     def __post_init__(self):
-        if self.newton_tol <= 0 or self.max_newton <= 0 or self.recenter_threshold <= 0:
-            raise ConfigurationError("solver tolerances and limits must be positive")
+        for name, ok, description in (
+            ("newton_tol", self.newton_tol > 0, "must be positive"),
+            ("max_newton", self.max_newton >= 1, "must be >= 1"),
+            ("recenter_threshold", self.recenter_threshold > 0, "must be positive"),
+        ):
+            if not ok:
+                value = getattr(self, name)
+                raise ConfigurationError(f"solver.{name} = {value!r} out of range ({description})")
 
 
 @dataclass(frozen=True)

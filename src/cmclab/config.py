@@ -81,6 +81,18 @@ def _require_range(section, key, value, check, description):
         raise ConfigurationError(f"{section}.{key} = {value!r} out of range ({description})")
 
 
+def _solver_value(key, value):
+    """``value`` as the type of the solver field ``key``; a failed or lossy conversion names it."""
+    kind = type(getattr(SolverConfig(), key))
+    try:
+        converted = kind(value)
+    except (TypeError, ValueError):
+        converted = None
+    if converted is None or (kind in (int, bool) and converted != value):
+        raise ConfigurationError(f"solver.{key} = {value!r} is not a valid {kind.__name__}")
+    return converted
+
+
 @dataclass
 class ExperimentConfig:
     """Validated experiment parameters."""
@@ -192,14 +204,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     solver = raw.get("solver", {})
     _reject_unknown("solver", solver, _SOLVER_KEYS)
-    if "newton_tol" in solver:
-        _require_range("solver", "newton_tol", solver["newton_tol"], lambda v: v > 0, "positive")
-    if "max_newton" in solver:
-        _require_range("solver", "max_newton", solver["max_newton"], lambda v: v >= 1, ">= 1")
-    cfg.solver_overrides = {
-        k: (bool(v) if k == "compute_eigenvalues" else type(getattr(SolverConfig(), k))(v))
-        for k, v in solver.items()
-    }
+    cfg.solver_overrides = {k: _solver_value(k, v) for k, v in solver.items()}
+    cfg.solver_config()  # range checks name the offending solver field
 
     adm = raw.get("adm", {})
     _reject_unknown("adm", adm, _ADM_KEYS)

@@ -44,7 +44,6 @@ __all__ = [
     "time_symmetric_data",
     "artificial_data",
     "christoffel",
-    "christoffel_deriv",
     "ricci",
     "scalar_curvature",
     "momentum_density",
@@ -272,7 +271,11 @@ def interpolated(model: MetricModel, tau: float, anchor=None) -> MetricModel:
     gs, dgs, d2gs, alpha, dalpha = _anchored_schwarzschild_evaluators(model.mass, anchor)
 
     def mix(fa, fb):
-        return lambda x: fa(x) + tau * (fb(x) - fa(x))
+        def f(x):
+            a = fa(x)
+            return a + tau * (fb(x) - a)
+
+        return f
 
     return replace(
         model,
@@ -460,54 +463,34 @@ def artificial_data(
 # ---------------------------------------------------------------------------
 
 
-def _inverse_metric(g):
-    return np.linalg.inv(g)
+def _index_combination(dg):
+    """``t[..., l, i, j] = d_i g_lj + d_j g_li - d_l g_ij``; leading axes pass through."""
+    return np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg) - dg
+
+
+def _inverse_metric_deriv(ginv, dg):
+    """``dginv[..., m, k, l] = d_m g^kl = -g^ka d_m g_ab g^bl``."""
+    return -np.einsum("...ka,...mab,...bl->...mkl", ginv, dg, ginv)
+
+
+def _christoffel_from(ginv, dg):
+    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, _index_combination(dg))
 
 
 def christoffel(model: MetricModel, x) -> np.ndarray:
     """Christoffel symbols ``Gamma[..., k, i, j] = Gamma^k_ij``."""
-    g = model.metric(x)
-    dg = model.metric_deriv(x)
-    ginv = _inverse_metric(g)
-    return _christoffel_from(ginv, dg)
+    return _christoffel_from(np.linalg.inv(model.metric(x)), model.metric_deriv(x))
 
 
-def _christoffel_from(ginv, dg):
-    t = (
-        np.einsum("...ilj->...lij", dg)
-        + np.einsum("...jli->...lij", dg)
-        - np.einsum("...lij->...lij", dg)
+def ricci(ginv, dg, d2g, gamma) -> np.ndarray:
+    """Ricci tensor from ``g^-1``, ``dg``, ``d2g`` and ``Gamma`` at the same points.
+
+    ``d_m Gamma^k_ij`` is taken analytically from ``d2g``.
+    """
+    dgamma = 0.5 * (
+        np.einsum("...mkl,...lij->...mkij", _inverse_metric_deriv(ginv, dg), _index_combination(dg))
+        + np.einsum("...kl,...mlij->...mkij", ginv, _index_combination(d2g))
     )
-    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, t)
-
-
-def christoffel_deriv(model: MetricModel, x) -> np.ndarray:
-    """``dGamma[..., m, k, i, j] = d_m Gamma^k_ij`` from analytic d2g."""
-    g = model.metric(x)
-    dg = model.metric_deriv(x)
-    d2g = model.metric_deriv2(x)
-    ginv = _inverse_metric(g)
-    dginv = -np.einsum("...ka,...mab,...bl->...mkl", ginv, dg, ginv)
-    t = (
-        np.einsum("...ilj->...lij", dg)
-        + np.einsum("...jli->...lij", dg)
-        - dg
-    )
-    dt = (
-        np.einsum("...milj->...mlij", d2g)
-        + np.einsum("...mjli->...mlij", d2g)
-        - d2g
-    )
-    return 0.5 * (
-        np.einsum("...mkl,...lij->...mkij", dginv, t)
-        + np.einsum("...kl,...mlij->...mkij", ginv, dt)
-    )
-
-
-def ricci(model: MetricModel, x) -> np.ndarray:
-    """Ricci tensor assembled from Gamma and its analytic derivative."""
-    gamma = christoffel(model, x)
-    dgamma = christoffel_deriv(model, x)
     term1 = np.einsum("...kkij->...ij", dgamma)
     term2 = np.einsum("...ikkj->...ij", dgamma)
     term3 = np.einsum("...kkl,...lij->...ij", gamma, gamma)
@@ -516,21 +499,20 @@ def ricci(model: MetricModel, x) -> np.ndarray:
 
 
 def scalar_curvature(model: MetricModel, x) -> np.ndarray:
-    g = model.metric(x)
-    return np.einsum("...ij,...ij->...", _inverse_metric(g), ricci(model, x))
-
-
-def momentum_density(data: InitialDataModel, x) -> np.ndarray:
-    """Constraint momentum density ``J_i = (div(tr(kbar) g - kbar))_i``."""
-    model = data.base
-    g = model.metric(x)
+    ginv = np.linalg.inv(model.metric(x))
     dg = model.metric_deriv(x)
-    kb = data.kbar(x)
-    dkb = data.kbar_deriv(x)
-    ginv = _inverse_metric(g)
-    dginv = -np.einsum("...ka,...mab,...bl->...mkl", ginv, dg, ginv)
+    ric = ricci(ginv, dg, model.metric_deriv2(x), _christoffel_from(ginv, dg))
+    return np.einsum("...ij,...ij->...", ginv, ric)
+
+
+def momentum_density(g, ginv, dg, gamma, kb, dkb) -> np.ndarray:
+    """Constraint momentum density ``J_i = (div(tr(kbar) g - kbar))_i``.
+
+    Takes the metric, its inverse, ``dg`` and ``Gamma`` with ``kbar`` and
+    ``dkbar``, all at the same points.
+    """
     hbar = np.einsum("...ab,...ab->...", ginv, kb)
-    dhbar = np.einsum("...mab,...ab->...m", dginv, kb) + np.einsum(
+    dhbar = np.einsum("...mab,...ab->...m", _inverse_metric_deriv(ginv, dg), kb) + np.einsum(
         "...ab,...mab->...m", ginv, dkb
     )
     pi = hbar[..., None, None] * g - kb
@@ -539,7 +521,6 @@ def momentum_density(data: InitialDataModel, x) -> np.ndarray:
         + hbar[..., None, None, None] * dg
         - dkb
     )
-    gamma = _christoffel_from(ginv, dg)
     div = (
         np.einsum("...jk,...jki->...i", ginv, dpi)
         - np.einsum("...jk,...ljk,...li->...i", ginv, gamma, pi)
@@ -551,8 +532,7 @@ def momentum_density(data: InitialDataModel, x) -> np.ndarray:
 def energy_density(data: InitialDataModel, x) -> np.ndarray:
     """Constraint energy density ``2 rho = S - |kbar|^2 + (tr kbar)^2``."""
     model = data.base
-    g = model.metric(x)
-    ginv = _inverse_metric(g)
+    ginv = np.linalg.inv(model.metric(x))
     kb = data.kbar(x)
     hbar = np.einsum("...ab,...ab->...", ginv, kb)
     ksq = np.einsum("...ac,...bd,...ab,...cd->...", ginv, ginv, kb, kb)

@@ -129,7 +129,8 @@ def quasi_local_momentum(
     kbar_term = np.einsum("nai,na->ni", kb, nu)
     p_trace = -(w[:, None] * trace_term).sum(axis=0) / EIGHT_PI
     p_kbar = (w[:, None] * kbar_term).sum(axis=0) / EIGHT_PI
-    jnu = np.einsum("na,na->n", momentum_density(data, x), nu)
+    J = momentum_density(geo.gbar, geo.gbar_inv, geo.dgbar, geo.gamma_bar, kb, data.kbar_deriv(x))
+    jnu = np.einsum("na,na->n", J, nu)
     correction = sigma * (w_corr[:, None] * (jnu[:, None] * nu)).sum(axis=0) / EIGHT_PI
     return MomentumReport(
         sigma=sigma,
@@ -202,7 +203,8 @@ def lapse_rhs(
     X = np.einsum("nIJ,nI,nJa->na", ainv, omega, t)  # raised, ambient components
     div_knu = surface_divergence(geo, X)
 
-    jnu = np.einsum("na,na->n", momentum_density(data, x), nu)
+    J = momentum_density(geo.gbar, geo.gbar_inv, geo.dgbar, geo.gamma_bar, kb, data.kbar_deriv(x))
+    jnu = np.einsum("na,na->n", J, nu)
 
     kb_surf = np.einsum("nab,nIa,nJb->nIJ", kb, t, t)
     k_dot_kbar = np.einsum("nIJ,nKL,nIK,nJL->n", ainv, ainv, geo.second_fund, kb_surf)

@@ -236,9 +236,8 @@ class SurfaceGeometry:
             self.trace_free,
             self.trace_free,
         )
-        self.ric_normal = np.einsum(
-            "nij,ni,nj->n", ricci(model, x), self.normal, self.normal
-        )
+        ric = ricci(self.gbar_inv, dgbar, model.metric_deriv2(x), self.gamma_bar)
+        self.ric_normal = np.einsum("nij,ni,nj->n", ric, self.normal, self.normal)
         self.potential = self.k_norm2 + self.ric_normal
 
     # -- chart calculus ----------------------------------------------------
@@ -523,14 +522,17 @@ def low_eigenpairs(
     positive).  With positive mass: matrix-free shift-invert Lanczos about
     0 whose inverse is :meth:`SurfaceGeometry.galerkin_solve`, at every
     band limit.  Flat ambients (mass <= 0), whose translation modes are an
-    exact kernel that a shift about 0 cannot invert, use the dense
-    generalized symmetric eigendecomposition.  Eigenfields are
-    L2(dmu)-orthonormal.
+    exact kernel that a shift about 0 cannot invert, and a shift-invert
+    iteration that fails (at large sigma the Krylov solve inside it can
+    stall on round-off, since the l = 1 block amplifies by about
+    sigma / 6m) use the dense generalized symmetric eigendecomposition.
+    Eigenfields are L2(dmu)-orthonormal.
     """
     if not 1 <= n <= 10:
         raise ConfigurationError(f"low_eigenpairs supports 1 to 10 pairs, got n={n}")
     geo = geometry if geometry is not None else compute_geometry(surface, model)
     grid = surface.grid
+    vals = None
     if geo.model.mass > 0.0:
         import scipy.sparse.linalg as spla
 
@@ -543,9 +545,9 @@ def low_eigenpairs(
             vals, vecs = spla.eigsh(
                 A, k=n, M=M, sigma=0.0, OPinv=op_inv, which="LM", v0=np.ones(shape[0])
             )
-        except Exception as exc:  # pragma: no cover - iteration breakdown
-            raise SolverError(f"shift-invert eigeniteration failed: {exc}") from exc
-    else:
+        except (SolverError, spla.ArpackError):  # a stalled OPinv solve or ARPACK breakdown
+            pass
+    if vals is None:
         vals, vecs = geo.operator_eigensystem
     order = np.argsort(np.abs(vals), kind="stable")
     pairs = []

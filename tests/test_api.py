@@ -32,13 +32,16 @@ def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
     geometry_init = surfaces.SurfaceGeometry.__dict__["__init__"]
     eigensystem = surfaces.SurfaceGeometry.__dict__["operator_eigensystem"]
     solve_cmc = cmc.solve_cmc
+    ricci = surfaces.ricci  # the name SurfaceGeometry calls; the models.ricci span hooks it
     uninstall = spans.install(spans.Tracer())
     try:
         assert surfaces.SurfaceGeometry.__dict__["__init__"] is not geometry_init
         assert surfaces.SurfaceGeometry.__dict__["operator_eigensystem"] is not eigensystem
         assert cmc.solve_cmc is not solve_cmc
+        assert surfaces.ricci is not ricci
     finally:
         uninstall()
     assert surfaces.SurfaceGeometry.__dict__["__init__"] is geometry_init
     assert surfaces.SurfaceGeometry.__dict__["operator_eigensystem"] is eigensystem
     assert cmc.solve_cmc is solve_cmc
+    assert surfaces.ricci is ricci

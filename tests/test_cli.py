@@ -221,6 +221,26 @@ def test_cli_override_revalidates(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "recenter_threshold: -1",
+        "newton_tol: 0",
+        "max_newton: 0",
+        "max_newton: many",
+        "max_newton: 2.5",
+        "compute_eigenvalues: 'no'",
+    ],
+)
+def test_solver_section_errors_exit_2_naming_the_key(tmp_path, capsys, setting):
+    out = tmp_path / "run"
+    p = write_config(tmp_path, f"solver:\n  {setting}\nrun:\n  band_limit: 8\n  out: {out}\n")
+    assert main(["foliate", "--config", str(p), "--log", "quiet"]) == 2
+    key = setting.split(":")[0]
+    assert f"config error: solver.{key}" in capsys.readouterr().err
+    assert not out.with_suffix(".json").exists()
+
+
 def test_eigen_and_study_reuse_leaf_eigenvalues(tmp_path, monkeypatch):
     """Stages read the eigenvalues solve_cmc computed; they solve again only without them."""
     from cmclab import cli

@@ -1,8 +1,12 @@
 """Metric models: analytic derivative cross-checks and constraint densities."""
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from cmclab import models
 from cmclab.errors import DomainError, ModelError
 from cmclab.models import (
     DecayClass,
@@ -22,6 +26,19 @@ from cmclab.models import (
     verify_decay,
     _christoffel_from,
 )
+
+
+def ricci_at(model, x):
+    ginv = np.linalg.inv(model.metric(x))
+    dg = model.metric_deriv(x)
+    return ricci(ginv, dg, model.metric_deriv2(x), _christoffel_from(ginv, dg))
+
+
+def momentum_density_at(data, x):
+    g = data.base.metric(x)
+    ginv = np.linalg.inv(g)
+    dg = data.base.metric_deriv(x)
+    return momentum_density(g, ginv, dg, _christoffel_from(ginv, dg), data.kbar(x), data.kbar_deriv(x))
 
 
 def sample_points(rng, n=100, rmin=5.0, rmax=40.0):
@@ -153,7 +170,7 @@ def test_euclidean_curvature_vanishes():
     flat = euclidean()
     x = sample_points(np.random.default_rng(4), n=10)
     assert np.abs(christoffel(flat, x)).max() == 0.0
-    assert np.abs(ricci(flat, x)).max() == 0.0
+    assert np.abs(ricci_at(flat, x)).max() == 0.0
 
 
 def test_schwarzschild_is_scalar_flat():
@@ -180,7 +197,7 @@ def test_ricci_matches_fd_of_christoffel():
         t4 = np.einsum("...kil,...lkj->...ij", gamma, gamma)
         return t1 - t2 + t3 - t4
 
-    exact = ricci(model, x)
+    exact = ricci_at(model, x)
     err1 = np.abs(fd_ricci(1e-2) - exact).max()
     err2 = np.abs(fd_ricci(5e-3) - exact).max()
     assert err1 < 1e-6
@@ -190,7 +207,7 @@ def test_ricci_matches_fd_of_christoffel():
 def test_time_symmetric_data_has_zero_momentum_density():
     data = time_symmetric_data(schwarzschild(1.0))
     x = sample_points(np.random.default_rng(6), n=10)
-    assert np.abs(momentum_density(data, x)).max() == 0.0
+    assert np.abs(momentum_density_at(data, x)).max() == 0.0
     assert np.abs(energy_density(data, x)).max() < 1e-10  # vacuum slice
 
 
@@ -248,11 +265,43 @@ def test_momentum_density_matches_fd_divergence():
             - np.einsum("...jk,...lji,...kl->...i", ginv, gamma, pi)
         )
 
-    exact = momentum_density(data, x)
+    exact = momentum_density_at(data, x)
     err1 = np.abs(fd_div(1e-2) - exact).max()
     err2 = np.abs(fd_div(5e-3) - exact).max()
     assert err1 < 1e-7
     assert err1 / err2 > 3.0
+
+
+def test_interpolated_metric_evaluates_each_end_once(monkeypatch):
+    """``gS + tau (g - gS)`` calls the reference and the model evaluator once each."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(x):
+            calls[name] += 1
+            return fn(x)
+
+        return wrapper
+
+    reference = models._anchored_schwarzschild_evaluators
+    monkeypatch.setattr(
+        models,
+        "_anchored_schwarzschild_evaluators",
+        lambda mass, anchor: tuple(counted(f"reference{i}", f) for i, f in enumerate(reference(mass, anchor))),
+    )
+    model = perturbed_schwarzschild(1.0, 0.5, 0.1, "odd")
+    model = replace(
+        model,
+        _g=counted("model0", model._g),
+        _dg=counted("model1", model._dg),
+        _d2g=counted("model2", model._d2g),
+    )
+    mixed = interpolated(model, 0.35)
+    x = sample_points(np.random.default_rng(9), n=4)
+    for order, evaluate in enumerate((mixed.metric, mixed.metric_deriv, mixed.metric_deriv2)):
+        calls.clear()
+        evaluate(x)
+        assert calls == {f"model{order}": 1, f"reference{order}": 1}
 
 
 def test_artificial_data_on_schwarzschild_is_trivial():

@@ -1,11 +1,14 @@
 """Momentum, centers, the lapse equation, and the evolution law."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from cmclab.errors import SolvabilityError
 from cmclab.models import (
     InitialDataModel,
+    MetricModel,
     euclidean,
     perturbed_schwarzschild,
     schwarzschild,
@@ -364,3 +367,27 @@ def test_lapse_rhs_matches_metric_variation_oracle():
     geo = compute_geometry(surf, data.base)
     rhs = lapse_rhs(surf, data, geometry=geo)
     assert np.abs(rhs.values + dH).max() < 1e-8 * np.abs(dH).max()
+
+
+def test_each_ambient_tensor_is_evaluated_once(monkeypatch):
+    """A geometry evaluates g, dg and d2g once; the momentum and lapse sources reuse them."""
+    calls = Counter()
+
+    def counted(name, method):
+        def wrapper(self, x):
+            calls[name] += 1
+            return method(self, x)
+
+        return wrapper
+
+    for name in ("metric", "metric_deriv", "metric_deriv2"):
+        monkeypatch.setattr(MetricModel, name, counted(name, getattr(MetricModel, name)))
+    model = perturbed_schwarzschild(M, 0.5, 0.1, "odd")
+    data = synthetic_data(model, delta=1.0, amplitude=1.0, direction=(0.6, 0.0, 0.8))
+    sphere = SurfaceEmbedding.round_sphere(build_grid(8), 16.0, (0.2, -0.1, 0.3))
+    geo = compute_geometry(sphere, model)
+    assert calls == {"metric": 1, "metric_deriv": 1, "metric_deriv2": 1}
+    calls.clear()
+    quasi_local_momentum(sphere, data, geometry=geo)
+    lapse_rhs(sphere, data, geometry=geo)
+    assert not calls

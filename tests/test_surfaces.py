@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cmclab.cmc import CmcLeaf, solve_radial_lapse, target_mean_curvature
+from cmclab.cmc import CmcLeaf, SolverConfig, solve_cmc, solve_radial_lapse, target_mean_curvature
 from cmclab.errors import ConfigurationError, ResolutionWarning, SolverError
 from cmclab.models import euclidean, perturbed_schwarzschild, schwarzschild, synthetic_data
 from cmclab.physics import center_velocity_from_lapse, lapse_rhs, solve_lapse
@@ -288,6 +288,17 @@ def test_shift_invert_eigenpairs_match_dense_eigensystem():
     for i, (_, fi) in enumerate(sparse):
         for j, (_, fj) in enumerate(sparse):
             assert geo.integrate(fi.values * fj.values) == pytest.approx(float(i == j), abs=1e-9)
+
+
+@pytest.mark.parametrize("sigma", [2048.0, 4096.0])
+def test_large_sigma_eigenpairs_fall_back_to_dense_eigensystem(sigma):
+    """The shift-invert Krylov solve stalls on round-off here; the dense eigensystem answers."""
+    m = 1.0
+    leaf = solve_cmc(schwarzschild(m), sigma, SolverConfig(band_limit=16))
+    expect = 6.0 * m / sigma**3 * (1.0 - 3.0 * m / sigma)
+    assert len(leaf.eigenvalues) == 3
+    for lam in leaf.eigenvalues:
+        assert lam == pytest.approx(expect, rel=0.01)
 
 
 def test_euclidean_center_round_and_even(grid16):
