@@ -201,10 +201,12 @@ class AcceptanceSuite:
         }
 
     def criterion_5_artificial_flow(self) -> dict:
-        rows = {}
+        rows, flows = {}, {}
         for sigma in (32.0, 64.0):
             leaf = self.leaf("odd", self.odd, sigma)
-            flow = artificial_flow_integrate(self.odd, sigma, tau_steps=20, band_limit=16)
+            flow = flows[sigma] = artificial_flow_integrate(
+                self.odd, sigma, tau_steps=20, band_limit=16
+            )
             variant = artificial_flow_integrate(
                 self.odd, sigma, tau_steps=20, kbar_factor=2.0, band_limit=16
             )
@@ -217,10 +219,11 @@ class AcceptanceSuite:
                 "relative_gap": rel_gap,
                 "prooftext_factor_gap": rel_gap_variant,
             }
+        # the 20-step sigma = 32 flow above is the step-halving baseline
         halving = float(
             np.linalg.norm(
                 artificial_flow_integrate(self.odd, 32.0, tau_steps=40, band_limit=16).endpoint
-                - artificial_flow_integrate(self.odd, 32.0, tau_steps=20, band_limit=16).endpoint
+                - flows[32.0].endpoint
             )
         )
         matching = (

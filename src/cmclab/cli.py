@@ -14,13 +14,14 @@ import json
 import logging
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .acceptance import run_acceptance
-from .cmc import solve_cmc, solve_foliation, solve_radial_lapse
+from .cmc import SolverConfig, solve_cmc, solve_foliation, solve_radial_lapse
 from .config import ExperimentConfig, config_from_dict, parse_config
 from .errors import CmcLabError, ConfigurationError
 from .fits import fit_decay_exponent
@@ -73,8 +74,14 @@ def _leaf_eigenvalues(leaf, model) -> list:
     return [lam for lam, _ in low_eigenpairs(leaf.surface, model, n=3)]
 
 
-def _leaves_for(config: ExperimentConfig, model):
-    result = solve_foliation(model, config.sigmas, config.solver_config())
+def _solver(config: ExperimentConfig, eigenvalues: bool) -> SolverConfig:
+    """The configured solver; stages that report no eigenvalues skip computing them."""
+    solver = config.solver_config()
+    return solver if eigenvalues else replace(solver, compute_eigenvalues=False)
+
+
+def _leaves_for(config: ExperimentConfig, model, eigenvalues: bool):
+    result = solve_foliation(model, config.sigmas, _solver(config, eigenvalues))
     if result.failures:
         raise CmcLabError(f"foliation failures: {result.failures}")
     return result
@@ -118,9 +125,8 @@ def stage_foliate(config: ExperimentConfig):
 
 def stage_centers(config: ExperimentConfig):
     model = config.build_model()
-    report = cmc_adm_center_report(
-        model, config.sigmas, adm_radii=config.adm_radii, config=config.solver_config()
-    )
+    solver = _solver(config, eigenvalues=False)
+    report = cmc_adm_center_report(model, config.sigmas, adm_radii=config.adm_radii, config=solver)
     header = ["sigma", "z1", "z2", "z3", "formula1", "formula2", "formula3", "gap"]
     rows = []
     for sigma, z, f in zip(report.sigmas, report.cmc_centers, report.leaf_formula_centers):
@@ -147,7 +153,7 @@ def stage_adm_center(config: ExperimentConfig):
 def stage_momentum(config: ExperimentConfig):
     model = config.build_model()
     data = config.build_data(model)
-    result = _leaves_for(config, model)
+    result = _leaves_for(config, model, eigenvalues=False)
     header = ["sigma", "p1", "p2", "p3", "c1", "c2", "c3", "total1", "total2", "total3"]
     rows, records = [], []
     for leaf in result.leaves:
@@ -159,7 +165,7 @@ def stage_momentum(config: ExperimentConfig):
 
 def stage_eigen(config: ExperimentConfig):
     model = config.build_model()
-    result = _leaves_for(config, model)
+    result = _leaves_for(config, model, eigenvalues=True)
     header = ["sigma", "lambda1", "lambda2", "lambda3", "reference", "maxRelDeviation"]
     rows, records = [], []
     for leaf in result.leaves:
@@ -174,7 +180,7 @@ def stage_eigen(config: ExperimentConfig):
 def stage_evolve(config: ExperimentConfig):
     model = config.build_model()
     data = config.build_data(model)
-    result = _leaves_for(config, model)
+    result = _leaves_for(config, model, eigenvalues=False)
     reports = [evolution_residual(leaf, data) for leaf in result.leaves]
     residuals = [r.residual for r in reports]
     fit = (
@@ -196,7 +202,7 @@ def stage_evolve(config: ExperimentConfig):
 
 def stage_artificial(config: ExperimentConfig):
     model = config.build_model()
-    solver = config.solver_config()
+    solver = _solver(config, eigenvalues=False)
     header = ["sigma", "tau", "z1", "z2", "z3"]
     rows, records = [], []
     for sigma in config.sigmas:
@@ -222,7 +228,7 @@ def stage_study(config: ExperimentConfig):
     """Convergence study: all sigma-decay fits with their gates."""
     model = config.build_model()
     data = config.build_data(model)
-    result = _leaves_for(config, model)
+    result = _leaves_for(config, model, eigenvalues=True)
     leaves = result.leaves
     sigmas = [leaf.sigma for leaf in leaves]
     eps = model.decay.epsilon

@@ -142,8 +142,8 @@ class SurfaceGeometry:
     """First/second fundamental forms and derived fields of one embedding.
 
     Instances are computed once by :func:`compute_geometry` and treated as
-    immutable; the weak-form operator matrices are assembled lazily and
-    cached.
+    immutable; ``Ric(nu, nu)``, the stability potential and the weak-form
+    operator matrices are computed on first use and cached.
     """
 
     def __init__(self, surface: SurfaceEmbedding, model: MetricModel):
@@ -229,16 +229,32 @@ class SurfaceGeometry:
         self.k_norm2 = np.einsum(
             "nIK,nJL,nIJ,nKL->n", self.induced_inv, self.induced_inv, kk, kk
         )
-        self.trace_free_norm2 = np.einsum(
+
+    @cached_property
+    def trace_free_norm2(self) -> np.ndarray:
+        return np.einsum(
             "nIK,nJL,nIJ,nKL->n",
             self.induced_inv,
             self.induced_inv,
             self.trace_free,
             self.trace_free,
         )
-        ric = ricci(self.gbar_inv, dgbar, model.metric_deriv2(x), self.gamma_bar)
-        self.ric_normal = np.einsum("nij,ni,nj->n", ric, self.normal, self.normal)
-        self.potential = self.k_norm2 + self.ric_normal
+
+    @cached_property
+    def ric_normal(self) -> np.ndarray:
+        """``Ric(nu, nu)``; evaluates the second metric derivatives on first use.
+
+        Only the stability operator reads it, so geometries that serve the
+        mean curvature or the momentum integrals never build Ricci.
+        """
+        d2g = self.model.metric_deriv2(self.positions)
+        ric = ricci(self.gbar_inv, self.dgbar, d2g, self.gamma_bar)
+        return np.einsum("nij,ni,nj->n", ric, self.normal, self.normal)
+
+    @cached_property
+    def potential(self) -> np.ndarray:
+        """Stability-operator potential ``|k|^2 + Ric(nu, nu)``."""
+        return self.k_norm2 + self.ric_normal
 
     # -- chart calculus ----------------------------------------------------
 

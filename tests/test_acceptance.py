@@ -1,7 +1,7 @@
 """Acceptance suite: every exit criterion at its stated tolerance.
 
 The suite solves at band limit 32 and is the slowest part of the test
-run (about a minute); leaves are shared between criteria.  One pass/fail
+run (about 11 s on 2 vCPUs); leaves are shared between criteria.  One pass/fail
 line is printed per criterion.
 """
 

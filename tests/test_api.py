@@ -33,12 +33,27 @@ def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
     eigensystem = surfaces.SurfaceGeometry.__dict__["operator_eigensystem"]
     solve_cmc = cmc.solve_cmc
     ricci = surfaces.ricci  # the name SurfaceGeometry calls; the models.ricci span hooks it
-    uninstall = spans.install(spans.Tracer())
+    tracer = spans.Tracer()
+    uninstall = spans.install(tracer)
     try:
         assert surfaces.SurfaceGeometry.__dict__["__init__"] is not geometry_init
         assert surfaces.SurfaceGeometry.__dict__["operator_eigensystem"] is not eigensystem
         assert cmc.solve_cmc is not solve_cmc
         assert surfaces.ricci is not ricci
+
+        # Ricci is built on the first read of the potential, still under its span
+        def ricci_spans():
+            return sum(span.name == "models.ricci" for span in tracer.spans)
+
+        tracer.run_id = 0
+        model = cmclab.perturbed_schwarzschild(1.0, 0.5, 0.1, "odd")
+        sphere = cmclab.SurfaceEmbedding.round_sphere(cmclab.build_grid(8), 16.0)
+        geometry = surfaces.compute_geometry(sphere, model)
+        assert ricci_spans() == 0
+        geometry.potential
+        assert ricci_spans() == 1
+        geometry.potential
+        assert ricci_spans() == 1
     finally:
         uninstall()
     assert surfaces.SurfaceGeometry.__dict__["__init__"] is geometry_init

@@ -262,3 +262,26 @@ def test_eigen_and_study_reuse_leaf_eigenvalues(tmp_path, monkeypatch):
     )
     assert status == 0 and len(calls) == 2
     assert recomputed["reports"] == reused["reports"]
+
+
+@pytest.mark.parametrize("stage", ["artificial", "momentum", "evolve", "centers"])
+def test_stages_without_eigenvalue_reports_skip_the_eigensolve(tmp_path, monkeypatch, stage):
+    """These stages report no eigenvalues, so they solve without them whatever the config says."""
+    from cmclab import cmc
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigenpairs computed by a stage that does not report them")
+
+    monkeypatch.setattr(cmc, "low_eigenpairs", refuse)
+    config = write_config(
+        tmp_path,
+        "model:\n  kind: perturbed\n  m: 1.0\n  epsilon: 0.5\n  A: 0.1\n  shape: odd\n"
+        "  B: 1.0\n  delta: 1.0\n"
+        "run:\n  sigmas: [8.0, 16.0]\n  band_limit: 8\n"
+        "solver:\n  compute_eigenvalues: true\n"
+        "artificial:\n  tau_steps: 2\n",
+    )
+    out = tmp_path / stage
+    assert main([stage, "--config", str(config), "--out", str(out), "--log", "quiet"]) == 0
+    manifest = json.loads(out.with_suffix(".json").read_text())
+    assert manifest["status"][stage] == "ok"

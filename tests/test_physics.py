@@ -370,7 +370,10 @@ def test_lapse_rhs_matches_metric_variation_oracle():
 
 
 def test_each_ambient_tensor_is_evaluated_once(monkeypatch):
-    """A geometry evaluates g, dg and d2g once; the momentum and lapse sources reuse them."""
+    """A geometry evaluates g and dg once and d2g only when the potential is first read.
+
+    The momentum and lapse sources reuse the geometry's tensors and evaluate nothing.
+    """
     calls = Counter()
 
     def counted(name, method):
@@ -386,8 +389,33 @@ def test_each_ambient_tensor_is_evaluated_once(monkeypatch):
     data = synthetic_data(model, delta=1.0, amplitude=1.0, direction=(0.6, 0.0, 0.8))
     sphere = SurfaceEmbedding.round_sphere(build_grid(8), 16.0, (0.2, -0.1, 0.3))
     geo = compute_geometry(sphere, model)
-    assert calls == {"metric": 1, "metric_deriv": 1, "metric_deriv2": 1}
+    assert calls == {"metric": 1, "metric_deriv": 1}
     calls.clear()
     quasi_local_momentum(sphere, data, geometry=geo)
     lapse_rhs(sphere, data, geometry=geo)
     assert not calls
+    geo.potential
+    assert calls == {"metric_deriv2": 1}
+    calls.clear()
+    geo.potential
+    quasi_local_momentum(sphere, data, geometry=geo)
+    lapse_rhs(sphere, data, geometry=geo)
+    assert not calls
+
+
+def test_artificial_flow_builds_no_ricci_tensor(monkeypatch):
+    """Flow velocities integrate momenta on round spheres; none reads the stability potential."""
+    from cmclab import surfaces
+
+    calls = []
+    original = surfaces.ricci
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(surfaces, "ricci", counting)
+    model = perturbed_schwarzschild(M, 0.5, 0.1, "odd")
+    flow = artificial_flow_integrate(model, 32.0, tau_steps=1, band_limit=8)
+    assert np.all(np.isfinite(flow.centers))
+    assert calls == []
