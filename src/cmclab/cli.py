@@ -32,7 +32,7 @@ from .physics import (
     evolution_residual,
     quasi_local_momentum,
 )
-from .surfaces import compute_geometry, low_eigenpairs
+from .surfaces import compute_geometry
 
 _log = logging.getLogger(__name__)
 
@@ -63,21 +63,9 @@ def write_csv(path: Path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _leaf_eigenvalues(leaf, model) -> list:
-    """The leaf's three lowest stability eigenvalues.
-
-    ``solve_cmc`` already computes them on the same geometry unless the
-    solver config turns them off; only then are they computed here.
-    """
-    if leaf.eigenvalues is not None:
-        return list(leaf.eigenvalues)
-    return [lam for lam, _ in low_eigenpairs(leaf.surface, model, n=3)]
-
-
 def _solver(config: ExperimentConfig, eigenvalues: bool) -> SolverConfig:
-    """The configured solver; stages that report no eigenvalues skip computing them."""
-    solver = config.solver_config()
-    return solver if eigenvalues else replace(solver, compute_eigenvalues=False)
+    """The configured solver, computing eigenvalues exactly when the stage reports them."""
+    return replace(config.solver_config(), compute_eigenvalues=eigenvalues)
 
 
 def _leaves_for(config: ExperimentConfig, model, eigenvalues: bool):
@@ -169,7 +157,7 @@ def stage_eigen(config: ExperimentConfig):
     header = ["sigma", "lambda1", "lambda2", "lambda3", "reference", "maxRelDeviation"]
     rows, records = [], []
     for leaf in result.leaves:
-        lams = _leaf_eigenvalues(leaf, model)
+        lams = list(leaf.eigenvalues)
         ref = 6.0 * model.mass / leaf.sigma**3 if model.mass > 0 else 0.0
         dev = max(abs(l / ref - 1.0) for l in lams) if ref else float("nan")
         rows.append([leaf.sigma, *lams, ref, dev])
@@ -239,9 +227,8 @@ def stage_study(config: ExperimentConfig):
     if model.mass > 0:
         devs = []
         for leaf in leaves:
-            lams = _leaf_eigenvalues(leaf, model)
             ref = 6.0 * model.mass / leaf.sigma**3
-            devs.append(max(abs(l / ref - 1.0) for l in lams))
+            devs.append(max(abs(l / ref - 1.0) for l in leaf.eigenvalues))
         fit = fit_decay_exponent(sigmas, devs)
         passed = devs[-1] < devs[0]
         rows.append(["eigenvalue_deviation", fit.exponent, fit.residual, passed])

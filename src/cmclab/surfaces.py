@@ -53,6 +53,10 @@ _KRYLOV_RTOL = 1e-13
 #: needs about 10 steps, independent of the band limit)
 _KRYLOV_RESTART = 40
 _KRYLOV_CYCLES = 5
+#: LOBPCG iteration limit (converged leaves need a few iterations)
+_LOBPCG_ITERATIONS = 40
+#: eigenpair residual bound ``|A x - lambda M x| * sigma^2`` (scale-invariant)
+_EIGEN_TOL = 1e-9
 #: eigenvalues below this fraction of the spectral radius are exact kernel
 #: in the eigenbasis solve
 _EIGENVALUE_FLOOR = 1e-14
@@ -142,8 +146,9 @@ class SurfaceGeometry:
     """First/second fundamental forms and derived fields of one embedding.
 
     Instances are computed once by :func:`compute_geometry` and treated as
-    immutable; ``Ric(nu, nu)``, the stability potential and the weak-form
-    operator matrices are computed on first use and cached.
+    immutable; ``Ric(nu, nu)``, the stability potential, the l <= 1
+    Galerkin block and the dense operator matrices (which no positive-mass
+    eigensolve reads) are computed on first use and cached.
     """
 
     def __init__(self, surface: SurfaceEmbedding, model: MetricModel):
@@ -330,6 +335,12 @@ class SurfaceGeometry:
         return g.adjoint_values(self.weights_induced * g.synthesize_values(coeffs))
 
     @cached_property
+    def _low_block(self) -> np.ndarray:
+        """The symmetrised 4x4 Galerkin block on degrees l <= 1 (4 matvecs)."""
+        block = np.array([self.galerkin_apply(e)[:4] for e in np.eye(4, self.grid.n_coeffs)]).T
+        return 0.5 * (block + block.T)
+
+    @cached_property
     def _preconditioner(self):
         """Inverse of the exact l <= 1 Galerkin block and of ``2 - l(l+1)`` above.
 
@@ -337,22 +348,12 @@ class SurfaceGeometry:
         sphere; its l = 1 entry vanishes, so degrees <= 1 (which hold the
         near-kernel translation modes) use the exact 4x4 block instead.
         """
-        block = np.empty((4, 4))
-        e = np.zeros(self.grid.n_coeffs)
-        for a in range(4):
-            e[a] = 1.0
-            block[:, a] = self.galerkin_apply(e)[:4]
-            e[a] = 0.0
         try:
-            block_inv = np.linalg.inv(0.5 * (block + block.T))
+            block_inv = np.linalg.inv(self._low_block)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"degree <= 1 Galerkin block is singular: {exc}") from exc
         l = self.grid.coeff_l[4:]
         return block_inv, 1.0 / (2.0 - l * (l + 1.0))
-
-    def _precondition(self, r: np.ndarray) -> np.ndarray:
-        block_inv, diag_inv = self._preconditioner
-        return np.concatenate([block_inv @ r[:4], diag_inv * r[4:]])
 
     def galerkin_solve(self, load: np.ndarray) -> tuple[np.ndarray, int]:
         """Solve ``A u = load`` by preconditioned GMRES; returns ``(u, iterations)``.
@@ -365,8 +366,9 @@ class SurfaceGeometry:
         import scipy.sparse.linalg as spla
 
         n = self.grid.n_coeffs
+        inverses = self._preconditioner
         op = spla.LinearOperator(
-            (n, n), matvec=lambda c: self._precondition(self.galerkin_apply(c)), dtype=float
+            (n, n), matvec=lambda c: _block_diagonal(inverses, self.galerkin_apply(c)), dtype=float
         )
         iterations = 0
 
@@ -376,7 +378,7 @@ class SurfaceGeometry:
 
         u, info = spla.gmres(
             op,
-            self._precondition(load),
+            _block_diagonal(inverses, load),
             rtol=_KRYLOV_RTOL,
             atol=0.0,
             restart=_KRYLOV_RESTART,
@@ -524,6 +526,13 @@ def euclidean_center(
     return surface.center + (w @ offsets) / w.sum()
 
 
+def _block_diagonal(inverses, r: np.ndarray) -> np.ndarray:
+    """Apply ``(block_inv, diag_inv)``: a 4x4 block on degrees l <= 1, a diagonal above."""
+    block_inv, diag_inv = inverses
+    r = np.ravel(r)
+    return np.concatenate([block_inv @ r[:4], diag_inv * r[4:]])
+
+
 def low_eigenpairs(
     surface: SurfaceEmbedding,
     model: MetricModel,
@@ -535,42 +544,45 @@ def low_eigenpairs(
     Eigenvalues are reported in the positive-Laplacian spectral convention
     ``L f = -lambda f`` (so the degree-one cluster of a mass-m leaf sits
     near ``+6m/sigma^3``, and higher modes of a Euclidean sphere are
-    positive).  With positive mass: matrix-free shift-invert Lanczos about
-    0 whose inverse is :meth:`SurfaceGeometry.galerkin_solve`, at every
-    band limit.  Flat ambients (mass <= 0), whose translation modes are an
-    exact kernel that a shift about 0 cannot invert, and a shift-invert
-    iteration that fails (at large sigma the Krylov solve inside it can
-    stall on round-off, since the l = 1 block amplifies by about
-    sigma / 6m) use the dense generalized symmetric eigendecomposition.
+    positive).  With positive mass: one matrix-free LOBPCG solve (Knyazev
+    2001) of ``-A x = lambda M x``, preconditioned by the SPD inverse
+    ``|block|^-1`` of the l <= 1 Galerkin block and ``|2 - l(l+1)|^-1``
+    above.  It starts from the unit vectors of all degrees up to that of
+    the n-th pair (no cluster is split; reruns give the same bits) and
+    raises :class:`SolverError` unless every returned pair has
+    ``|A x - lambda M x| <= _EIGEN_TOL / sigma^2``.  Flat ambients
+    (mass <= 0) use the dense generalized symmetric eigendecomposition.
     Eigenfields are L2(dmu)-orthonormal.
     """
     if not 1 <= n <= 10:
         raise ConfigurationError(f"low_eigenpairs supports 1 to 10 pairs, got n={n}")
     geo = geometry if geometry is not None else compute_geometry(surface, model)
     grid = surface.grid
-    vals = None
     if geo.model.mass > 0.0:
         import scipy.sparse.linalg as spla
 
+        w, V = np.linalg.eigh(geo._low_block)
+        l = grid.coeff_l[4:]
+        spd_inverse = ((V / np.abs(w)) @ V.T, 1.0 / np.abs(2.0 - l * (l + 1.0)))
+        # scipy passes (N, 1) columns to matvec; the transforms take flat vectors
         shape = (grid.n_coeffs, grid.n_coeffs)
-        A = spla.LinearOperator(shape, matvec=geo.galerkin_apply, dtype=float)
-        M = spla.LinearOperator(shape, matvec=geo.mass_apply, dtype=float)
-        op_inv = spla.LinearOperator(shape, matvec=lambda v: geo.galerkin_solve(v)[0], dtype=float)
-        try:
-            # fixed start vector: the same leaf gives the same eigenpairs
-            vals, vecs = spla.eigsh(
-                A, k=n, M=M, sigma=0.0, OPinv=op_inv, which="LM", v0=np.ones(shape[0])
-            )
-        except (SolverError, spla.ArpackError):  # a stalled OPinv solve or ARPACK breakdown
-            pass
-    if vals is None:
+        A = spla.LinearOperator(shape, lambda c: -geo.galerkin_apply(np.ravel(c)), dtype=float)
+        M = spla.LinearOperator(shape, lambda c: geo.mass_apply(np.ravel(c)), dtype=float)
+        P = spla.LinearOperator(shape, lambda r: _block_diagonal(spd_inverse, r), dtype=float)
+        start = np.eye(shape[0], np.count_nonzero(grid.coeff_l <= grid.coeff_l[n]))
+        tol = _EIGEN_TOL / geo.sigma_scale**2
+        lams, vecs = spla.lobpcg(
+            A, start, B=M, M=P, tol=tol, maxiter=_LOBPCG_ITERATIONS, largest=False
+        )
+        keep = np.argsort(np.abs(lams), kind="stable")[:n]
+        residual = max(np.linalg.norm(A @ vecs[:, i] - lams[i] * (M @ vecs[:, i])) for i in keep)
+        if not residual <= tol:
+            raise SolverError(f"LOBPCG did not converge: residual {residual:.3e} > {tol:.3e}")
+    else:
         vals, vecs = geo.operator_eigensystem
-    order = np.argsort(np.abs(vals), kind="stable")
-    pairs = []
-    for idx in order[:n]:
-        field = ScalarField(grid, grid.synthesize_values(vecs[:, idx]))
-        pairs.append((-float(vals[idx]), field))
-    return pairs
+        lams = -vals
+    order = np.argsort(np.abs(lams), kind="stable")[:n]
+    return [(float(lams[i]), ScalarField(grid, grid.synthesize_values(vecs[:, i]))) for i in order]
 
 
 def surface_divergence(geometry: SurfaceGeometry, vector: np.ndarray) -> np.ndarray:

@@ -107,6 +107,29 @@ def test_reports_are_bit_identical_across_runs(tmp_path):
     assert first_json == second_json
 
 
+def run_in_subprocess(out, command, threads):
+    """Run ``cmclab.cli`` with a pinned BLAS thread count; returns (manifest, csv bytes, stderr)."""
+    src = str(Path(cmclab.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(
+        os.environ,
+        PYTHONPATH=pythonpath,
+        OPENBLAS_NUM_THREADS=threads,
+        OMP_NUM_THREADS=threads,
+        MKL_NUM_THREADS=threads,
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "cmclab.cli", *command, "--out", str(out)],
+        env=env,
+        check=True,
+        timeout=600,
+        capture_output=True,
+        text=True,
+    )
+    manifest = json.loads(Path(f"{out}.json").read_text())
+    return manifest, Path(f"{out}.csv").read_bytes(), done.stderr
+
+
 def test_reports_are_bit_identical_across_blas_thread_counts(tmp_path):
     """Positive mass: a study run's reports do not depend on the BLAS thread count."""
     config = write_config(
@@ -115,25 +138,33 @@ def test_reports_are_bit_identical_across_blas_thread_counts(tmp_path):
         "  a: [0.2, -0.1, 0.3]\n  B: 1.0\n  b: [0.6, 0.0, 0.8]\n"
         "run:\n  sigmas: [16.0, 32.0]\n  band_limit: 16\n",
     )
-    src = str(Path(cmclab.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     outputs = []
     for threads in ("1", "2"):
-        env = dict(
-            os.environ,
-            PYTHONPATH=pythonpath,
-            OPENBLAS_NUM_THREADS=threads,
-            OMP_NUM_THREADS=threads,
-            MKL_NUM_THREADS=threads,
-        )
-        out = tmp_path / f"threads{threads}"
-        command = ["study", "--config", str(config), "--out", str(out), "--log", "quiet"]
-        subprocess.run([sys.executable, "-m", "cmclab.cli", *command], env=env, check=True, timeout=600)
-        manifest = json.loads(Path(f"{out}.json").read_text())
+        command = ["study", "--config", str(config), "--log", "quiet"]
+        manifest, csv, _ = run_in_subprocess(tmp_path / f"threads{threads}", command, threads)
         assert manifest["status"]["study"] == "ok"
-        reports = json.dumps(manifest["reports"], sort_keys=True).encode()
-        outputs.append((reports, Path(f"{out}.csv").read_bytes()))
+        outputs.append((json.dumps(manifest["reports"], sort_keys=True).encode(), csv))
     assert outputs[0] == outputs[1]
+
+
+def test_degenerate_and_large_sigma_eigenvalues_are_deterministic(tmp_path):
+    """Schwarzschild leaves, whose l = 1 cluster is degenerate, give the same bytes on every run.
+
+    Two runs at 1 BLAS thread and one at 2; sigma = 4096 is where a dense
+    eigensolve used to answer.  Every Newton step takes the Krylov path, so
+    only the eigen path is under test.
+    """
+    command = ["foliate", "--mass", "1", "--sigma", "8,16,4096", "--bandlimit", "16"]
+    command += ["--log", "debug"]
+    outputs = []
+    for run, threads in enumerate(("1", "1", "2")):
+        manifest, csv, log = run_in_subprocess(tmp_path / f"run{run}", command, threads)
+        assert manifest["status"]["foliate"] == "ok"
+        assert len(manifest["reports"]["foliate"]["leaves"]) == 3
+        steps = [line for line in log.splitlines() if "krylov=" in line]
+        assert steps and all(line.split("krylov=")[1].isdigit() for line in steps)
+        outputs.append((json.dumps(manifest["reports"], sort_keys=True).encode(), csv))
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_evolve_time_symmetric_residuals_tiny(tmp_path):
@@ -242,26 +273,27 @@ def test_solver_section_errors_exit_2_naming_the_key(tmp_path, capsys, setting):
 
 
 def test_eigen_and_study_reuse_leaf_eigenvalues(tmp_path, monkeypatch):
-    """Stages read the eigenvalues solve_cmc computed; they solve again only without them."""
-    from cmclab import cli
+    """eigen and study report the eigenvalues solve_cmc computes, whatever the config key says."""
+    from cmclab import cmc
 
     calls = []
-    original = cli.low_eigenpairs
+    original = cmc.low_eigenpairs
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "low_eigenpairs", counting)
-    reused, status = run_experiment("eigen", small_config(tmp_path))
-    assert status == 0 and calls == []
-    run_experiment("study", small_config(tmp_path))
-    assert calls == []
-    recomputed, status = run_experiment(
-        "eigen", small_config(tmp_path, solver={"compute_eigenvalues": False})
-    )
-    assert status == 0 and len(calls) == 2
-    assert recomputed["reports"] == reused["reports"]
+    monkeypatch.setattr(cmc, "low_eigenpairs", counting)
+    for stage in ("eigen", "study"):
+        reports = []
+        for compute in (True, False):
+            calls.clear()
+            config = small_config(tmp_path, solver={"compute_eigenvalues": compute})
+            manifest, _ = run_experiment(stage, config)
+            assert manifest["status"][stage] == "ok"
+            assert len(calls) == len(config.sigmas)  # one eigensolve per leaf
+            reports.append(manifest["reports"])
+        assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("stage", ["artificial", "momentum", "evolve", "centers"])

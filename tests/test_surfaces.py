@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cmclab.cmc import CmcLeaf, SolverConfig, solve_cmc, solve_radial_lapse, target_mean_curvature
+from cmclab.cmc import (
+    CmcLeaf,
+    SolverConfig,
+    solve_cmc,
+    solve_foliation,
+    solve_radial_lapse,
+    target_mean_curvature,
+)
 from cmclab.errors import ConfigurationError, ResolutionWarning, SolverError
 from cmclab.models import euclidean, perturbed_schwarzschild, schwarzschild, synthetic_data
 from cmclab.physics import center_velocity_from_lapse, lapse_rhs, solve_lapse
@@ -193,7 +200,7 @@ def dense_galerkin(geo):
 
 @pytest.mark.parametrize("band_limit", [16, 32])
 def test_matrix_free_operator_matches_dense_oracle(band_limit):
-    """Matvec, one Newton correction and shift-invert eigenvalues against dense A."""
+    """Matvec, one Newton correction and matrix-free eigenvalues against dense A."""
     grid = build_grid(band_limit)
     model = perturbed_schwarzschild(1.0, 0.5, 0.1, "odd")
     sigma = 32.0
@@ -217,8 +224,8 @@ def test_matrix_free_operator_matches_dense_oracle(band_limit):
     vals = scipy.linalg.eigh(A, M, eigvals_only=True)
     dense = np.sort(-vals[np.argsort(np.abs(vals))[:3]])
     pairs = low_eigenpairs(s, model, n=3, geometry=geo)
-    shift_invert = np.sort([lam for lam, _ in pairs])
-    assert np.abs(shift_invert / dense - 1.0).max() <= 1e-10
+    matrix_free = np.sort([lam for lam, _ in pairs])
+    assert np.abs(matrix_free / dense - 1.0).max() <= 1e-10
 
 
 @pytest.mark.parametrize("band_limit", [16, 32])
@@ -271,15 +278,18 @@ def test_matrix_free_lapse_solves_match_dense_eigenbasis_oracle(band_limit):
     assert_close(geo.solve_operator(rhs), oracle(rhs))
 
 
-def test_shift_invert_eigenpairs_match_dense_eigensystem():
-    """Positive mass: the matrix-free shift-invert eigenpairs span the dense eigenspace."""
+@pytest.mark.parametrize("n", [1, 3, 4, 10])
+def test_matrix_free_eigenpairs_match_dense_eigensystem(n):
+    """Positive mass: the matrix-free LOBPCG eigenpairs span the dense eigenspace."""
     grid = build_grid(16)
     model = perturbed_schwarzschild(1.0, 0.5, 0.1, "odd")
     s = perturbed_sphere(grid, 24.0, seed=3)
     geo = compute_geometry(s, model)
-    sparse = low_eigenpairs(s, model, n=3, geometry=geo)
+    sparse = low_eigenpairs(s, model, n=n, geometry=geo)
+    assert len(sparse) == n
+    assert "operator_matrices" not in vars(geo) and "operator_eigensystem" not in vars(geo)
     vals, vecs = geo.operator_eigensystem
-    order = np.argsort(np.abs(vals), kind="stable")[:3]
+    order = np.argsort(np.abs(vals), kind="stable")[:n]
     assert np.allclose([lam for lam, _ in sparse], -vals[order], rtol=1e-10, atol=0)
     # same eigenspace: the principal angles between the spans vanish
     span_dense = np.stack([grid.synthesize_values(vecs[:, i]) for i in order], axis=1)
@@ -291,14 +301,35 @@ def test_shift_invert_eigenpairs_match_dense_eigensystem():
 
 
 @pytest.mark.parametrize("sigma", [2048.0, 4096.0])
-def test_large_sigma_eigenpairs_fall_back_to_dense_eigensystem(sigma):
-    """The shift-invert Krylov solve stalls on round-off here; the dense eigensystem answers."""
+def test_large_sigma_eigenpairs_are_matrix_free(sigma):
+    """Where a Krylov-inverted eigensolve stalls on round-off, LOBPCG still answers without eigh."""
     m = 1.0
-    leaf = solve_cmc(schwarzschild(m), sigma, SolverConfig(band_limit=16))
+    model = schwarzschild(m)
+    leaf = solve_cmc(model, sigma, SolverConfig(band_limit=16))
     expect = 6.0 * m / sigma**3 * (1.0 - 3.0 * m / sigma)
     assert len(leaf.eigenvalues) == 3
     for lam in leaf.eigenvalues:
         assert lam == pytest.approx(expect, rel=0.01)
+    geo = compute_geometry(leaf.surface, model)
+    pairs = low_eigenpairs(leaf.surface, model, n=3, geometry=geo)
+    assert tuple(lam for lam, _ in pairs) == leaf.eigenvalues
+    assert "operator_matrices" not in vars(geo) and "operator_eigensystem" not in vars(geo)
+
+
+def test_unconverged_eigenpairs_raise_and_fail_the_leaf(monkeypatch):
+    """An eigensolve that misses its residual bound raises; a sweep records it per leaf."""
+    from cmclab import surfaces
+
+    monkeypatch.setattr(surfaces, "_LOBPCG_ITERATIONS", 1)
+    model = perturbed_schwarzschild(1.0, 0.5, 0.1, "odd")
+    s = perturbed_sphere(build_grid(12), 24.0, seed=3)
+    with pytest.raises(SolverError, match="did not converge"):
+        low_eigenpairs(s, model, n=3)
+    # the sigma = 8 leaf needs more than one iteration, the sigma = 16 leaf does not
+    result = solve_foliation(model, [8.0, 16.0], SolverConfig(band_limit=12))
+    assert [(f["sigma"], f["kind"]) for f in result.failures] == [(8.0, "SolverError")]
+    assert "LOBPCG" in result.failures[0]["error"]
+    assert [leaf.sigma for leaf in result.leaves] == [16.0]
 
 
 def test_euclidean_center_round_and_even(grid16):
