@@ -209,10 +209,7 @@ def _newton_loop(surface, model, h_target, sigma, config):
             increases = 0
         previous = residual
         du, krylov = geo.weak_solve(residual_field)
-        _log.debug(
-            "newton sigma=%g iter=%d residual=%.3e krylov=%s",
-            sigma, it, residual, "eigen-fallback" if krylov is None else krylov,
-        )
+        _log.debug("newton sigma=%g iter=%d residual=%.3e krylov=%d", sigma, it, residual, krylov)
         surface = surface.with_radius(surface.rho_coeffs + du)
         z = euclidean_center(surface)
         if np.linalg.norm(z - surface.center) > config.recenter_threshold * sigma:
@@ -287,7 +284,7 @@ def solve_radial_lapse(
     The right-hand side is the constant ``2/sigma^2 - 8m/sigma^3``; the
     degree-one near-kernel carries the center drift of the foliation and
     is resolved exactly by :meth:`SurfaceGeometry.solve_operator` (the
-    matrix-free solve's l <= 1 block when the mass is positive).
+    matrix-free solve's l <= 1 block; a flat ambient's kernel is deflated).
     """
     geo = geometry if geometry is not None else compute_geometry(leaf.surface, model)
     sigma = leaf.sigma

@@ -8,8 +8,9 @@ Conventions shared by every operation here:
   ``3 avg(nu_i w)`` and the momentum-density correction
   ``sigma nu_i J(nu)``) means the Cartesian coordinate components of the
   outward unit normal vector.
-* Averages over a leaf use the ambient-induced measure by default; the
-  Euclidean-induced measure sits behind ``measure="euclidean"`` flags.
+* Averages over a leaf use the ambient-induced measure; only the
+  momentum-density correction of :func:`quasi_local_momentum` uses the
+  Euclidean-induced one.
 """
 
 from __future__ import annotations
@@ -100,7 +101,6 @@ def quasi_local_momentum(
     data: InitialDataModel,
     geometry: SurfaceGeometry | None = None,
     sigma: float | None = None,
-    correction_measure: str = "euclidean",
 ) -> MomentumReport:
     """Surface momentum flux plus its slow-decay correction.
 
@@ -108,13 +108,12 @@ def quasi_local_momentum(
     standard ADM momentum density) against the ambient measure; the
     correction ``(1/8pi) int sigma nu_i J(nu)`` compensates for momentum
     density that decays too slowly for the flux alone.  The correction is
-    a coordinate-sphere comparison term and defaults to the
-    Euclidean-induced measure (``correction_measure="induced"`` switches
-    to the ambient one; the difference sits inside the evolution law's
-    own error budget, but the Euclidean choice makes the residual decay
-    cleanly).  Both pieces are reported separately and neither carries
-    the 1/m.  ``sigma`` defaults to the leaf index (or the area radius
-    for a plain surface).
+    a coordinate-sphere comparison term over the Euclidean-induced
+    measure (the ambient one differs inside the evolution law's own error
+    budget, but the Euclidean choice makes the residual decay cleanly).
+    Both pieces are reported separately and neither carries the 1/m.
+    ``sigma`` defaults to the leaf index (or the area radius for a plain
+    surface).
     """
     surface = _leaf_surface(leaf)
     geo = geometry if geometry is not None else compute_geometry(surface, data.base)
@@ -124,7 +123,7 @@ def quasi_local_momentum(
     hbar = np.einsum("nab,nab->n", geo.gbar_inv, kb)
     nu = geo.normal
     w = geo.weights_induced
-    w_corr = geo.weights_euclidean if correction_measure == "euclidean" else geo.weights_induced
+    w_corr = geo.weights_euclidean
     trace_term = np.einsum("n,nai,na->ni", hbar, geo.gbar, nu)
     kbar_term = np.einsum("nai,na->ni", kb, nu)
     p_trace = -(w[:, None] * trace_term).sum(axis=0) / EIGHT_PI
@@ -228,10 +227,10 @@ def solve_lapse(
 
     The near-kernel (degree-one) components carry the translation signal,
     amplified by about ``sigma^3 / 6m``; :meth:`SurfaceGeometry.solve_operator`
-    resolves them exactly (by the matrix-free solve's l <= 1 block when the
-    mass is positive).  In a flat ambient the eigenbasis solve raises a
-    solvability error when the right-hand side loads an exactly degenerate
-    mode (a degree-one source).
+    resolves them exactly with the matrix-free solve's l <= 1 block.  In a
+    flat ambient, where translations are an exact kernel, a right-hand side
+    that loads a kernel mode (a degree-one source) raises
+    :class:`SolvabilityError`.
     """
     surface = _leaf_surface(leaf)
     geo = geometry if geometry is not None else compute_geometry(surface, data.base)
@@ -240,26 +239,9 @@ def solve_lapse(
     return ScalarField(geo.grid, w)
 
 
-def center_velocity_from_lapse(
-    leaf,
-    w: ScalarField,
-    geometry: SurfaceGeometry | None = None,
-    data: InitialDataModel | None = None,
-    measure: str = "induced",
-) -> np.ndarray:
-    """Translation speed of a leaf deformed with normal speed ``w``.
-
-    Returns ``3 avg(nu_i w)`` with the average over the leaf (ambient
-    measure by default, Euclidean behind the flag).
-    """
-    surface = _leaf_surface(leaf)
-    if geometry is None:
-        if data is None:
-            raise ConfigurationError("need a geometry or the data set to build one")
-        geometry = compute_geometry(surface, data.base)
-    weights = (
-        geometry.weights_induced if measure == "induced" else geometry.weights_euclidean
-    )
+def center_velocity_from_lapse(w: ScalarField, geometry: SurfaceGeometry) -> np.ndarray:
+    """Translation speed ``3 avg(nu_i w)`` of a leaf moved with normal speed ``w``."""
+    weights = geometry.weights_induced
     nu_avg = (weights[:, None] * (w.values[:, None] * geometry.normal)).sum(axis=0)
     return 3.0 * nu_avg / weights.sum()
 
@@ -303,7 +285,7 @@ def evolution_residual(
     if m <= 0:
         raise ModelError("evolution law needs a positive mass")
     w = solve_lapse(leaf, data, geometry=geo)
-    velocity = center_velocity_from_lapse(leaf, w, geometry=geo)
+    velocity = center_velocity_from_lapse(w, geo)
     momentum = quasi_local_momentum(leaf, data, geometry=geo)
     return EvolutionReport(
         sigma=momentum.sigma,

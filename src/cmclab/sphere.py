@@ -268,14 +268,15 @@ class SphericalGrid:
         """Quadrature of node values against the round measure."""
         return float(self.weights @ np.asarray(values, dtype=float))
 
-    # -- dense basis matrices (weak-form assembly) -----------------------
+    # -- dense basis matrices (test oracle) -------------------------------
 
     def basis_matrices(self):
         """Node-value and chart-derivative matrices of all basis functions.
 
         Returns ``(B, Bt, Bp)`` of shape ``(n_nodes, n_coeffs)`` with the
         values, theta-derivatives and phi-derivatives of every ``Y_{lm}``.
-        Built lazily and cached; only needed for weak-form assembly.
+        Built lazily and cached.  A test oracle for the transforms and the
+        dense Galerkin assembly; no solve reads it.
         """
         cached = getattr(self, "_basis_cache", None)
         if cached is not None:

@@ -57,9 +57,11 @@ _KRYLOV_CYCLES = 5
 _LOBPCG_ITERATIONS = 40
 #: eigenpair residual bound ``|A x - lambda M x| * sigma^2`` (scale-invariant)
 _EIGEN_TOL = 1e-9
-#: eigenvalues below this fraction of the spectral radius are exact kernel
-#: in the eigenbasis solve
-_EIGENVALUE_FLOOR = 1e-14
+#: eigenpairs with ``|lambda| * sigma^2`` at most this are exact kernel (the
+#: translation modes of a flat-ambient CMC surface measure below 1e-13)
+_KERNEL_TOL = 1e-10
+#: relative residual of the CG mass solve in :meth:`SurfaceGeometry.apply_operator`
+_MASS_RTOL = 1e-14
 #: iteration limit and relative step tolerance of the ray intersection in
 #: :func:`resample`
 _RESAMPLE_MAX_ITER = 60
@@ -147,8 +149,8 @@ class SurfaceGeometry:
 
     Instances are computed once by :func:`compute_geometry` and treated as
     immutable; ``Ric(nu, nu)``, the stability potential, the l <= 1
-    Galerkin block and the dense operator matrices (which no positive-mass
-    eigensolve reads) are computed on first use and cached.
+    Galerkin block and the operator's exact kernel are computed on first
+    use and cached.  No solve reads the dense (test-oracle) matrices.
     """
 
     def __init__(self, surface: SurfaceEmbedding, model: MetricModel):
@@ -341,35 +343,48 @@ class SurfaceGeometry:
         return 0.5 * (block + block.T)
 
     @cached_property
-    def _preconditioner(self):
-        """Inverse of the exact l <= 1 Galerkin block and of ``2 - l(l+1)`` above.
+    def _kernel(self):
+        """``(K, M K)``: M-orthonormal pairs with ``|lambda| sigma^2 <= _KERNEL_TOL``.
 
-        ``diag(2 - l(l+1))`` is the Galerkin matrix of every Euclidean round
-        sphere; its l = 1 entry vanishes, so degrees <= 1 (which hold the
-        near-kernel translation modes) use the exact 4x4 block instead.
+        In a flat ambient, the translation modes of a CMC surface.  With
+        positive mass (degree-one cluster near ``6m/sigma^3``) it is empty
+        and no eigensolve runs.
         """
-        try:
-            block_inv = np.linalg.inv(self._low_block)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"degree <= 1 Galerkin block is singular: {exc}") from exc
-        l = self.grid.coeff_l[4:]
-        return block_inv, 1.0 / (2.0 - l * (l + 1.0))
+        n = self.grid.n_coeffs
+        K = np.zeros((n, 0))
+        if self.model.mass <= 0.0:
+            lams, vecs = _low_pairs(self, 3)
+            K = vecs[:, np.abs(lams) * self.sigma_scale**2 <= _KERNEL_TOL]
+        return K, np.array([self.mass_apply(k) for k in K.T]).reshape(K.shape[1], n).T
 
     def galerkin_solve(self, load: np.ndarray) -> tuple[np.ndarray, int]:
         """Solve ``A u = load`` by preconditioned GMRES; returns ``(u, iterations)``.
 
-        GMRES runs on the left-preconditioned system ``P^-1 A u = P^-1 load``
-        with :meth:`galerkin_apply` and the l <= 1 block preconditioner.
-        Raises :class:`SolverError` unless it converges, so a caller never
-        receives an unconverged solution.
+        GMRES solves the deflated system ``(A - (4/sigma^2) MK (MK)^T) u =
+        load - MK K^T load`` for the exact kernel ``K`` (:attr:`_kernel`,
+        empty with positive mass): the kernel moves to the round-sphere l = 2
+        value, its load is dropped and ``u`` has no kernel component.  The
+        left preconditioner inverts ``diag(2 - l(l+1))``, the Galerkin matrix
+        of every Euclidean round sphere, on l >= 2 and the exact deflated
+        4x4 block on degrees l <= 1, which hold the near-kernel translation
+        modes.  Raises :class:`SolverError` unless GMRES converges, so a
+        caller never receives an unconverged solution.
         """
         import scipy.sparse.linalg as spla
 
         n = self.grid.n_coeffs
-        inverses = self._preconditioner
-        op = spla.LinearOperator(
-            (n, n), matvec=lambda c: _block_diagonal(inverses, self.galerkin_apply(c)), dtype=float
-        )
+        K, MK = self._kernel
+        shift = -4.0 / self.sigma_scale**2
+        try:
+            block_inv = np.linalg.inv(self._low_block + shift * (MK[:4] @ MK[:4].T))
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"degree <= 1 Galerkin block is singular: {exc}") from exc
+        l = self.grid.coeff_l[4:]
+        inverses = (block_inv, 1.0 / (2.0 - l * (l + 1.0)))
+
+        def matvec(c):
+            return _block_diagonal(inverses, self.galerkin_apply(c) + shift * (MK @ (MK.T @ c)))
+
         iterations = 0
 
         def count(_):
@@ -377,8 +392,8 @@ class SurfaceGeometry:
             iterations += 1
 
         u, info = spla.gmres(
-            op,
-            _block_diagonal(inverses, load),
+            spla.LinearOperator((n, n), matvec=matvec, dtype=float),
+            _block_diagonal(inverses, load - MK @ (K.T @ load)),
             rtol=_KRYLOV_RTOL,
             atol=0.0,
             restart=_KRYLOV_RESTART,
@@ -392,7 +407,7 @@ class SurfaceGeometry:
 
     @cached_property
     def operator_matrices(self):
-        """Galerkin matrices (A, M) of the stability operator.
+        """Dense Galerkin matrices (A, M) of the stability operator (test oracle).
 
         ``A[a, b] = -int <grad Y_a, grad Y_b> dmu + int V Y_a Y_b dmu`` and
         ``M`` is the L2(dmu) mass matrix, both over the spherical-harmonic
@@ -415,59 +430,48 @@ class SurfaceGeometry:
 
     @cached_property
     def operator_eigensystem(self):
-        """Full generalized eigendecomposition (ascending eigenvalues)."""
+        """Full generalized eigendecomposition, ascending (test oracle)."""
         A, M = self.operator_matrices
         vals, vecs = scipy.linalg.eigh(A, M)
         return vals, vecs
 
     def apply_operator(self, values: np.ndarray) -> np.ndarray:
-        """Node values of ``L f`` for node values of ``f`` (Galerkin sense)."""
-        A, M = self.operator_matrices
+        """Node values of ``L f`` for node values of ``f``: ``M^-1 A c``, with CG on ``M``."""
+        import scipy.sparse.linalg as spla
+
         c = self.grid.analyze_values(values)
         self._check_tail(c)
-        u = scipy.linalg.solve(M, A @ c, assume_a="pos")
+        n = self.grid.n_coeffs
+        M = spla.LinearOperator((n, n), matvec=self.mass_apply, dtype=float)
+        u, info = spla.cg(M, self.galerkin_apply(c), rtol=_MASS_RTOL, atol=0.0)
+        if info != 0:
+            raise SolverError(f"mass-matrix CG solve did not converge (info={info})")
         return self.grid.synthesize_values(u)
 
     def weak_solve(
         self, rhs_values: np.ndarray, check_kernel_load: bool = False
-    ) -> tuple[np.ndarray, int | None]:
+    ) -> tuple[np.ndarray, int]:
         """Solve ``L u = rhs`` in weak form; returns ``(coeffs, krylov_iterations)``.
 
-        The load is ``adjoint_values(weights_induced * rhs)``.  With positive
-        mass the Galerkin system is solved once by :meth:`galerkin_solve`,
-        whose exact l <= 1 block resolves the near-kernel translation modes;
-        no dense matrix is formed.  Flat ambients (mass <= 0), where
-        translations are an exact kernel, and a Krylov solve that raises
-        :class:`SolverError` go through the full eigendecomposition instead,
-        and the iteration count is ``None``.  That path drops
-        eigencomponents with ``|lambda|`` below ``_EIGENVALUE_FLOOR`` times
-        the spectral radius as exact kernel (minimal-norm solution); with
-        ``check_kernel_load`` a right-hand side carrying a meaningful load
-        on a kernel mode raises :class:`SolvabilityError` (e.g. degree-one
+        The load ``adjoint_values(weights_induced * rhs)`` is solved once by
+        :meth:`galerkin_solve`; its :class:`SolverError` propagates.  With
+        ``check_kernel_load`` a right-hand side carrying a meaningful load on
+        an exact kernel mode raises :class:`SolvabilityError` (e.g. degree-one
         sources in a flat ambient).  Newton stepping leaves the check off
         because the flat-space translation modes are pure gauge there.
         """
         load = self.grid.adjoint_values(self.weights_induced * rhs_values)
-        if self.model.mass > 0.0:
-            try:
-                return self.galerkin_solve(load)
-            except SolverError:
-                pass
-        vals, vecs = self.operator_eigensystem
-        load = vecs.T @ load
-        cutoff = _EIGENVALUE_FLOOR * np.abs(vals).max()
-        kernel = np.abs(vals) <= cutoff
-        if check_kernel_load and np.any(kernel):
+        if check_kernel_load:
+            K, _ = self._kernel
             # loads are bounded by ||rhs||_{L^2(dmu)} for M-orthonormal modes
             rhs_scale = np.sqrt(self.integrate(rhs_values**2))
-            bad = np.abs(load[kernel]).max()
+            bad = np.abs(K.T @ load).max(initial=0.0)
             if bad > 1e-8 * rhs_scale:
                 raise SolvabilityError(
                     "right-hand side loads an exactly degenerate mode "
                     f"(|load| = {bad:.3e}, ||rhs|| = {rhs_scale:.3e})"
                 )
-        coeffs_eig = np.where(kernel, 0.0, load / np.where(kernel, 1.0, vals))
-        return vecs @ coeffs_eig, None
+        return self.galerkin_solve(load)
 
     def solve_operator(self, rhs_values: np.ndarray, check_kernel_load: bool = False) -> np.ndarray:
         """Node values of the :meth:`weak_solve` solution of ``L u = rhs``."""
@@ -533,6 +537,35 @@ def _block_diagonal(inverses, r: np.ndarray) -> np.ndarray:
     return np.concatenate([block_inv @ r[:4], diag_inv * r[4:]])
 
 
+def _low_pairs(geo: SurfaceGeometry, n: int):
+    """``(lambdas, coeffs)`` of the n smallest-|lambda| pairs of ``-A x = lambda M x``.
+
+    Sorted by ``|lambda|``, with M-orthonormal coefficient columns.  See
+    :func:`low_eigenpairs`.
+    """
+    import scipy.sparse.linalg as spla
+
+    grid = geo.grid
+    w, V = np.linalg.eigh(geo._low_block)
+    l = grid.coeff_l[4:]
+    spd_inverse = ((V / np.abs(w)) @ V.T, 1.0 / np.abs(2.0 - l * (l + 1.0)))
+    # scipy passes (N, 1) columns to matvec; the transforms take flat vectors
+    shape = (grid.n_coeffs, grid.n_coeffs)
+    A = spla.LinearOperator(shape, lambda c: -geo.galerkin_apply(np.ravel(c)), dtype=float)
+    M = spla.LinearOperator(shape, lambda c: geo.mass_apply(np.ravel(c)), dtype=float)
+    P = spla.LinearOperator(shape, lambda r: _block_diagonal(spd_inverse, r), dtype=float)
+    start = np.eye(shape[0], np.count_nonzero(grid.coeff_l <= grid.coeff_l[n]))
+    tol = _EIGEN_TOL / geo.sigma_scale**2
+    lams, vecs = spla.lobpcg(
+        A, start, B=M, M=P, tol=tol, maxiter=_LOBPCG_ITERATIONS, largest=False
+    )
+    keep = np.argsort(np.abs(lams), kind="stable")[:n]
+    residual = max(np.linalg.norm(A @ vecs[:, i] - lams[i] * (M @ vecs[:, i])) for i in keep)
+    if not residual <= tol:
+        raise SolverError(f"LOBPCG did not converge: residual {residual:.3e} > {tol:.3e}")
+    return lams[keep], vecs[:, keep]
+
+
 def low_eigenpairs(
     surface: SurfaceEmbedding,
     model: MetricModel,
@@ -544,45 +577,24 @@ def low_eigenpairs(
     Eigenvalues are reported in the positive-Laplacian spectral convention
     ``L f = -lambda f`` (so the degree-one cluster of a mass-m leaf sits
     near ``+6m/sigma^3``, and higher modes of a Euclidean sphere are
-    positive).  With positive mass: one matrix-free LOBPCG solve (Knyazev
+    positive).  For every ambient: one matrix-free LOBPCG solve (Knyazev
     2001) of ``-A x = lambda M x``, preconditioned by the SPD inverse
     ``|block|^-1`` of the l <= 1 Galerkin block and ``|2 - l(l+1)|^-1``
     above.  It starts from the unit vectors of all degrees up to that of
     the n-th pair (no cluster is split; reruns give the same bits) and
     raises :class:`SolverError` unless every returned pair has
-    ``|A x - lambda M x| <= _EIGEN_TOL / sigma^2``.  Flat ambients
-    (mass <= 0) use the dense generalized symmetric eigendecomposition.
-    Eigenfields are L2(dmu)-orthonormal.
+    ``|A x - lambda M x| <= _EIGEN_TOL / sigma^2``.  On a flat CMC sphere
+    the degree-one pairs are the exact kernel.  Eigenfields are
+    L2(dmu)-orthonormal.
     """
     if not 1 <= n <= 10:
         raise ConfigurationError(f"low_eigenpairs supports 1 to 10 pairs, got n={n}")
     geo = geometry if geometry is not None else compute_geometry(surface, model)
-    grid = surface.grid
-    if geo.model.mass > 0.0:
-        import scipy.sparse.linalg as spla
-
-        w, V = np.linalg.eigh(geo._low_block)
-        l = grid.coeff_l[4:]
-        spd_inverse = ((V / np.abs(w)) @ V.T, 1.0 / np.abs(2.0 - l * (l + 1.0)))
-        # scipy passes (N, 1) columns to matvec; the transforms take flat vectors
-        shape = (grid.n_coeffs, grid.n_coeffs)
-        A = spla.LinearOperator(shape, lambda c: -geo.galerkin_apply(np.ravel(c)), dtype=float)
-        M = spla.LinearOperator(shape, lambda c: geo.mass_apply(np.ravel(c)), dtype=float)
-        P = spla.LinearOperator(shape, lambda r: _block_diagonal(spd_inverse, r), dtype=float)
-        start = np.eye(shape[0], np.count_nonzero(grid.coeff_l <= grid.coeff_l[n]))
-        tol = _EIGEN_TOL / geo.sigma_scale**2
-        lams, vecs = spla.lobpcg(
-            A, start, B=M, M=P, tol=tol, maxiter=_LOBPCG_ITERATIONS, largest=False
-        )
-        keep = np.argsort(np.abs(lams), kind="stable")[:n]
-        residual = max(np.linalg.norm(A @ vecs[:, i] - lams[i] * (M @ vecs[:, i])) for i in keep)
-        if not residual <= tol:
-            raise SolverError(f"LOBPCG did not converge: residual {residual:.3e} > {tol:.3e}")
-    else:
-        vals, vecs = geo.operator_eigensystem
-        lams = -vals
-    order = np.argsort(np.abs(lams), kind="stable")[:n]
-    return [(float(lams[i]), ScalarField(grid, grid.synthesize_values(vecs[:, i]))) for i in order]
+    lams, vecs = _low_pairs(geo, n)
+    return [
+        (float(lam), ScalarField(geo.grid, geo.grid.synthesize_values(v)))
+        for lam, v in zip(lams, vecs.T)
+    ]
 
 
 def surface_divergence(geometry: SurfaceGeometry, vector: np.ndarray) -> np.ndarray:

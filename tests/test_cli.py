@@ -148,23 +148,31 @@ def test_reports_are_bit_identical_across_blas_thread_counts(tmp_path):
 
 
 def test_degenerate_and_large_sigma_eigenvalues_are_deterministic(tmp_path):
-    """Schwarzschild leaves, whose l = 1 cluster is degenerate, give the same bytes on every run.
+    """Schwarzschild and flat leaves, whose low clusters are degenerate, give the same bytes.
 
     Two runs at 1 BLAS thread and one at 2; sigma = 4096 is where a dense
-    eigensolve used to answer.  Every Newton step takes the Krylov path, so
-    only the eigen path is under test.
+    eigensolve used to answer, and flat leaves used to take the dense
+    eigenbasis for every solve and eigenpair.  Every Newton step logs its
+    Krylov iteration count.
     """
-    command = ["foliate", "--mass", "1", "--sigma", "8,16,4096", "--bandlimit", "16"]
-    command += ["--log", "debug"]
-    outputs = []
-    for run, threads in enumerate(("1", "1", "2")):
-        manifest, csv, log = run_in_subprocess(tmp_path / f"run{run}", command, threads)
-        assert manifest["status"]["foliate"] == "ok"
-        assert len(manifest["reports"]["foliate"]["leaves"]) == 3
-        steps = [line for line in log.splitlines() if "krylov=" in line]
-        assert steps and all(line.split("krylov=")[1].isdigit() for line in steps)
-        outputs.append((json.dumps(manifest["reports"], sort_keys=True).encode(), csv))
-    assert outputs[0] == outputs[1] == outputs[2]
+    commands = [
+        ["foliate", "--mass", "1", "--sigma", "8,16,4096"],
+        ["foliate", "--model", "euclidean", "--sigma", "4,8,16"],
+    ]
+    for case, command in enumerate(commands):
+        command += ["--bandlimit", "16", "--log", "debug"]
+        outputs = []
+        for run, threads in enumerate(("1", "1", "2")):
+            out = tmp_path / f"case{case}run{run}"
+            manifest, csv, log = run_in_subprocess(out, command, threads)
+            assert manifest["status"]["foliate"] == "ok"
+            leaves = manifest["reports"]["foliate"]["leaves"]
+            assert len(leaves) == 3 and all(len(leaf["eigenvalues"]) == 3 for leaf in leaves)
+            steps = [line.split("krylov=")[1] for line in log.splitlines() if "krylov=" in line]
+            assert len(steps) == sum(leaf["iterations"] for leaf in leaves)
+            assert all(count.isdigit() for count in steps)
+            outputs.append((json.dumps(manifest["reports"], sort_keys=True).encode(), csv))
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_evolve_time_symmetric_residuals_tiny(tmp_path):

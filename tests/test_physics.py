@@ -210,7 +210,7 @@ def test_center_velocity_constant_lapse_is_zero(schw_leaf16):
     grid = schw_leaf16.surface.grid
     geo = compute_geometry(schw_leaf16.surface, schwarzschild(M))
     w = ScalarField(grid, np.ones(grid.n_nodes))
-    v = center_velocity_from_lapse(schw_leaf16, w, geometry=geo)
+    v = center_velocity_from_lapse(w, geo)
     assert np.abs(v).max() < 1e-4  # near-round leaf: average of nu is small
 
 
@@ -219,7 +219,7 @@ def test_center_velocity_unit_mode_on_euclidean_sphere():
     sphere = SurfaceEmbedding.round_sphere(grid, 5.0)
     geo = compute_geometry(sphere, euclidean())
     w = ScalarField(grid, grid.directions[:, 0])
-    v = center_velocity_from_lapse(sphere, w, geometry=geo)
+    v = center_velocity_from_lapse(w, geo)
     assert np.allclose(v, [1.0, 0.0, 0.0], atol=1e-12)
 
 
@@ -234,7 +234,7 @@ def test_center_velocity_matches_deformation_oracle():
     c[grid.coeff_l <= 4] = rng.standard_normal(int((grid.coeff_l <= 4).sum()))
     w = grid.synthesize_values(c)
     w /= np.abs(w).max()
-    v = center_velocity_from_lapse(leaf, ScalarField(grid, w), geometry=geo)
+    v = center_velocity_from_lapse(ScalarField(grid, w), geo)
     # deform with normal speed w: radial speed = w / gbar(N, nu)
     proj = np.einsum("ni,nij,nj->n", grid.directions, geo.gbar, geo.normal)
     h = 1e-4

@@ -12,12 +12,19 @@ from cmclab.cmc import (
     solve_radial_lapse,
     target_mean_curvature,
 )
-from cmclab.errors import ConfigurationError, ResolutionWarning, SolverError
-from cmclab.models import euclidean, perturbed_schwarzschild, schwarzschild, synthetic_data
+from cmclab.errors import ConfigurationError, ResolutionWarning, SolvabilityError, SolverError
+from cmclab.models import (
+    InitialDataModel,
+    euclidean,
+    perturbed_schwarzschild,
+    schwarzschild,
+    synthetic_data,
+)
 from cmclab.physics import center_velocity_from_lapse, lapse_rhs, solve_lapse
-from cmclab.sphere import ScalarField, build_grid
+from cmclab.sphere import ScalarField, SphericalGrid, build_grid
 from cmclab.surfaces import (
     SurfaceEmbedding,
+    SurfaceGeometry,
     compute_geometry,
     euclidean_center,
     low_eigenpairs,
@@ -229,7 +236,7 @@ def test_matrix_free_operator_matches_dense_oracle(band_limit):
 
 
 @pytest.mark.parametrize("band_limit", [16, 32])
-def test_matrix_free_lapse_solves_match_dense_eigenbasis_oracle(band_limit):
+def test_matrix_free_lapse_solves_match_dense_eigenbasis_oracle(band_limit, monkeypatch):
     """Positive mass: operator, evolution-lapse and radial-lapse solves against dense eigh."""
     grid = build_grid(band_limit)
     model = perturbed_schwarzschild(1.0, 0.5, 0.1, "odd")
@@ -254,8 +261,8 @@ def test_matrix_free_lapse_solves_match_dense_eigenbasis_oracle(band_limit):
     w = solve_lapse(s, data, geometry=geo)
     w_ref = ScalarField(grid, oracle(lapse_rhs(s, data, geometry=geo).values))
     assert_close(w.values, w_ref.values)
-    velocity = center_velocity_from_lapse(s, w, geometry=geo)
-    velocity_ref = center_velocity_from_lapse(s, w_ref, geometry=geo)
+    velocity = center_velocity_from_lapse(w, geo)
+    velocity_ref = center_velocity_from_lapse(w_ref, geo)
     assert np.linalg.norm(velocity - velocity_ref) <= 1e-10 * np.linalg.norm(velocity_ref)
 
     leaf = CmcLeaf(
@@ -271,11 +278,86 @@ def test_matrix_free_lapse_solves_match_dense_eigenbasis_oracle(band_limit):
     # none of these solves assembled the dense matrices
     assert "operator_matrices" not in vars(geo)
 
-    def krylov_failure(load):
+    def krylov_failure(self, load):
         raise SolverError("forced")
 
-    geo.galerkin_solve = krylov_failure  # falls through to the eigenbasis
-    assert_close(geo.solve_operator(rhs), oracle(rhs))
+    # a Krylov failure has no fallback: it propagates, and a sweep records the leaf
+    monkeypatch.setattr(SurfaceGeometry, "galerkin_solve", krylov_failure)
+    with pytest.raises(SolverError, match="forced"):
+        compute_geometry(s, model).solve_operator(rhs)
+    result = solve_foliation(model, [16.0], SolverConfig(band_limit=12))
+    assert result.leaves == []
+    assert [(f["sigma"], f["kind"], f["error"]) for f in result.failures] == [
+        (16.0, "SolverError", "forced")
+    ]
+
+
+@pytest.mark.parametrize("band_limit", [12, 16, 32])
+def test_flat_weak_solve_matches_dense_eigenbasis_oracle(band_limit):
+    """Flat ambient: the deflated Krylov solve is the eigenbasis's minimal-norm solution.
+
+    Round, translated-round and off-center-parametrised spheres carry the
+    three translation modes as an exact kernel; both solves drop the load on
+    it.  The matrix-free eigenpairs report that kernel.
+    """
+    grid = build_grid(band_limit)
+    model = euclidean()
+    B, _, _ = grid.basis_matrices()
+    c = np.zeros(grid.n_coeffs)
+    low = grid.coeff_l <= 6
+    c[low] = np.random.default_rng(5).standard_normal(low.sum())
+    loads = [np.ones(grid.n_nodes), grid.synthesize_values(c)]
+    sphere = SurfaceEmbedding.round_sphere(grid, 5.0)
+    for s in (sphere, sphere.translate((1.0, -2.0, 0.5)), resample(sphere, (1.5, 0.0, 0.0))):
+        geo = compute_geometry(s, model)
+        sigma2 = geo.sigma_scale**2
+        vals, vecs = scipy.linalg.eigh(*dense_galerkin(geo))
+        kernel = np.abs(vals) * sigma2 <= 1e-10
+        assert kernel.sum() == 3
+        for rhs in loads:
+            load = vecs.T @ (B.T @ (geo.weights_induced * rhs))
+            ref = vecs @ np.where(kernel, 0.0, load / np.where(kernel, 1.0, vals))
+            u, _ = geo.weak_solve(rhs)
+            assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
+        for lam, _ in low_eigenpairs(s, model, n=3, geometry=geo):
+            assert abs(lam) * sigma2 <= 1e-12
+
+
+def test_runtime_paths_read_no_dense_matrix(monkeypatch):
+    """Newton steps, eigenpairs, both lapse solves and ``apply_operator`` stay matrix-free."""
+
+    def refuse(*args):
+        raise AssertionError("a runtime path read a dense matrix")
+
+    monkeypatch.setattr(SphericalGrid, "basis_matrices", refuse)
+    monkeypatch.setattr(SurfaceGeometry, "operator_matrices", property(refuse))
+    monkeypatch.setattr(SurfaceGeometry, "operator_eigensystem", property(refuse))
+    config = SolverConfig(band_limit=12)
+    flat = euclidean()
+    leaf = solve_cmc(flat, 4.0, config, initial=SurfaceEmbedding.round_sphere(build_grid(12), 3.0))
+    assert leaf.iterations > 0
+    assert max(abs(lam) for lam in leaf.eigenvalues) * leaf.sigma**2 <= 1e-12
+    assert abs(solve_radial_lapse(leaf, flat).field.values - 1.0).max() < 1e-12
+    # a constant trace kbar with a tilted lapse loads the flat translation modes
+    tilted = InitialDataModel(
+        base=flat,
+        time_symmetric=False,
+        _kbar=lambda x: np.broadcast_to(np.eye(3), x.shape[:-1] + (3, 3)),
+        _dkbar=lambda x: np.zeros(x.shape[:-1] + (3, 3, 3)),
+        _alpha=lambda x: 1.0 + 0.1 * x[..., 0],
+        _dalpha=lambda x: np.broadcast_to([0.1, 0.0, 0.0], x.shape),
+    )
+    with pytest.raises(SolvabilityError):
+        solve_lapse(leaf, tilted)
+    geo = compute_geometry(leaf.surface, flat)
+    assert np.abs(geo.apply_operator(np.ones(geo.grid.n_nodes)) - 2.0 / leaf.sigma**2).max() < 1e-12
+
+    model = perturbed_schwarzschild(1.0, 0.5, 0.1, "odd")
+    leaf = solve_cmc(model, 16.0, config)
+    assert leaf.iterations > 0 and len(leaf.eigenvalues) == 3
+    solve_radial_lapse(leaf, model)
+    solve_lapse(leaf, synthetic_data(model, delta=1.0, amplitude=1.0, direction=(0.6, 0.0, 0.8)))
+    compute_geometry(leaf.surface, model).apply_operator(leaf.surface.radius_values)
 
 
 @pytest.mark.parametrize("n", [1, 3, 4, 10])
