@@ -9,7 +9,7 @@ dedicated pytest module.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .physics import (
 )
 from .fits import fit_decay_exponent, richardson_extrapolate
 from .sphere import build_grid
-from .surfaces import SurfaceEmbedding, compute_geometry
+from .surfaces import SurfaceEmbedding, compute_geometry, low_eigenpairs
 
 __all__ = ["CriterionResult", "AcceptanceSuite", "run_acceptance", "schwarzschild_sphere_radius"]
 
@@ -38,11 +38,19 @@ MASS = 1.0
 
 @dataclass
 class CriterionResult:
+    """One criterion's verdict and measured numbers.
+
+    ``seconds`` (the criterion's wall clock) and ``solve_seconds`` (per-leaf
+    solve wall clock by sigma, criterion 1 only) are not deterministic, so
+    :meth:`to_record` leaves them out; :meth:`line` prints ``seconds``.
+    """
+
     index: int
     name: str
     passed: bool
     details: dict
     seconds: float
+    solve_seconds: dict = field(default_factory=dict)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -54,7 +62,6 @@ class CriterionResult:
             "name": self.name,
             "passed": self.passed,
             "details": _jsonable(self.details),
-            "seconds": round(self.seconds, 3),
         }
 
 
@@ -113,6 +120,7 @@ class AcceptanceSuite:
 
     def criterion_1_schwarzschild_oracle(self) -> dict:
         rows = []
+        solve_seconds = {}
         ok = True
         for sigma in (8.0, 16.0, 32.0):
             leaf = self.leaf("schw", self.schw, sigma)
@@ -120,7 +128,7 @@ class AcceptanceSuite:
             rho = leaf.surface.radius_values
             rel_err = abs(rho.mean() - rstar) / rstar
             spread = (rho.max() - rho.min()) / rho.mean()
-            seconds = self._solve_seconds[("schw", sigma)]
+            seconds = solve_seconds[sigma] = self._solve_seconds[("schw", sigma)]
             rows.append(
                 {
                     "sigma": sigma,
@@ -128,23 +136,18 @@ class AcceptanceSuite:
                     "mean_radius": float(rho.mean()),
                     "rel_error": float(rel_err),
                     "radial_spread": float(spread),
-                    "solve_seconds": seconds,
                 }
             )
             ok &= rel_err <= 1e-8 and spread <= 1e-8 and seconds < 10.0
-        return {"passed": bool(ok), "leaves": rows}
+        return {"passed": bool(ok), "leaves": rows, "solve_seconds": solve_seconds}
 
     def criterion_2_eigenvalue_law(self) -> dict:
         deviations = {}
         eigs = {}
         for sigma in (32.0, 64.0):
             leaf = self.leaf("schw", self.schw, sigma)
-            geo = compute_geometry(leaf.surface, self.schw)
-            from .surfaces import low_eigenpairs
-
-            pairs = low_eigenpairs(leaf.surface, self.schw, n=3, geometry=geo)
+            pairs = low_eigenpairs(leaf.geometry, n=3)
             lams = np.array([lam for lam, _ in pairs])
-            expectation = 6.0 * MASS / sigma**3
             deviations[sigma] = float(np.abs(lams * sigma**3 / (6.0 * MASS) - 1.0).max())
             eigs[sigma] = lams.tolist()
         ok = deviations[32.0] <= 0.10 and deviations[64.0] < deviations[32.0]
@@ -291,8 +294,7 @@ class AcceptanceSuite:
             np.abs(grid.analyze_values(grid.synthesize_values(c)) - c).max() / np.abs(c).max()
         )
 
-        leaf = self.leaf("odd", self.odd, 16.0)
-        geo = compute_geometry(leaf.surface, self.odd)
+        geo = self.leaf("odd", self.odd, 16.0).geometry
         cf = np.zeros(grid.n_coeffs)
         ch = np.zeros(grid.n_coeffs)
         low = grid.coeff_l <= 12
@@ -346,13 +348,14 @@ class AcceptanceSuite:
         for index, name, fn in criteria:
             t0 = time.perf_counter()
             details = fn()
-            passed = bool(details.pop("passed"))
+            seconds = time.perf_counter() - t0
             result = CriterionResult(
                 index=index,
                 name=name,
-                passed=passed,
+                passed=bool(details.pop("passed")),
+                seconds=seconds,
+                solve_seconds=details.pop("solve_seconds", {}),
                 details=details,
-                seconds=time.perf_counter() - t0,
             )
             if self.verbose:
                 print(result.line(), flush=True)

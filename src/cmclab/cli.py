@@ -2,9 +2,9 @@
 
 Every subcommand reads one YAML config (scalar keys overridable by flags),
 executes its pipeline, and writes a JSON manifest plus a CSV table under
-the output prefix.  All report numbers are deterministic for a fixed
-config; wall-clock timings live in a separate manifest field and are the
-only nondeterministic entries.
+the output prefix.  All report numbers and CSV rows are deterministic for
+a fixed config; wall-clock timings live in a separate manifest field and
+are the only nondeterministic entries.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .physics import (
     evolution_residual,
     quasi_local_momentum,
 )
-from .surfaces import compute_geometry
 
 _log = logging.getLogger(__name__)
 
@@ -145,7 +144,7 @@ def stage_momentum(config: ExperimentConfig):
     header = ["sigma", "p1", "p2", "p3", "c1", "c2", "c3", "total1", "total2", "total3"]
     rows, records = [], []
     for leaf in result.leaves:
-        rep = quasi_local_momentum(leaf, data)
+        rep = quasi_local_momentum(leaf.geometry, data, leaf.sigma)
         rows.append([leaf.sigma, *rep.quasi_local, *rep.correction, *rep.pseudo_momentum])
         records.append(rep.to_record())
     return {"momenta": records}, header, rows, True
@@ -234,13 +233,7 @@ def stage_study(config: ExperimentConfig):
         rows.append(["eigenvalue_deviation", fit.exponent, fit.residual, passed])
         ok &= passed
 
-    # one geometry per leaf serves the evolution law and the radial lapse
-    # (``data.base`` is ``model``)
-    geometries = [compute_geometry(leaf.surface, model) for leaf in leaves]
-    residuals = [
-        evolution_residual(leaf, data, geometry=geo).residual
-        for leaf, geo in zip(leaves, geometries)
-    ]
+    residuals = [evolution_residual(leaf, data).residual for leaf in leaves]
     if max(residuals) > 1e-13:
         fit = fit_decay_exponent(sigmas, residuals)
         passed = fit.exponent >= min(eps, delta) - 0.3
@@ -261,10 +254,7 @@ def stage_study(config: ExperimentConfig):
 
     # the radial lapse deviation is non-monotone in the pre-asymptotic
     # regime; the gate is boundedness, the exponent is informational
-    lapse_devs = [
-        solve_radial_lapse(leaf, model, geometry=geo).deviation_w1inf
-        for leaf, geo in zip(leaves, geometries)
-    ]
+    lapse_devs = [solve_radial_lapse(leaf).deviation_w1inf for leaf in leaves]
     if max(lapse_devs) > 1e-13:
         fit = fit_decay_exponent(sigmas, lapse_devs)
         passed = max(lapse_devs) <= 0.5
@@ -282,8 +272,8 @@ def stage_study(config: ExperimentConfig):
 
 def stage_acceptance(config: ExperimentConfig):
     results = run_acceptance(band_limit=config.band_limit, verbose=True)
-    header = ["criterion", "name", "passed", "seconds"]
-    rows = [[r.index, r.name, r.passed, round(r.seconds, 3)] for r in results]
+    header = ["criterion", "name", "passed"]
+    rows = [[r.index, r.name, r.passed] for r in results]
     report = {"criteria": [r.to_record() for r in results]}
     return report, header, rows, all(r.passed for r in results)
 

@@ -81,15 +81,27 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class CmcLeaf:
-    """One solved leaf with its diagnostics."""
+    """One solved leaf with its diagnostics.
+
+    ``geometry`` is the :class:`SurfaceGeometry` of ``surface`` in the
+    ambient the leaf was solved in, as built by the final Newton
+    convergence check; every on-surface quantity of the leaf (momentum,
+    lapses, eigenpairs) is evaluated on it.  It is left out of the record,
+    of comparisons and of the repr.
+    """
 
     sigma: float
     surface: SurfaceEmbedding
     residual: float
     iterations: int
     center: np.ndarray
-    area_radius: float
+    geometry: SurfaceGeometry = field(repr=False, compare=False)
     eigenvalues: tuple | None = None
+
+    @property
+    def area_radius(self) -> float:
+        """``sqrt(area / 4 pi)`` in the ambient-induced measure."""
+        return self.geometry.sigma_scale
 
     def to_record(self) -> dict:
         rec = {
@@ -139,7 +151,8 @@ def solve_cmc(
 
     The returned surface is re-centered: its parametrization center agrees
     with its Euclidean coordinate centroid to ``_CANONICAL_CENTER_TOL *
-    sigma``.
+    sigma``.  The leaf carries the geometry of the final Newton convergence
+    check and, as its center, the centroid of the final re-centering check.
     """
     config = config or SolverConfig()
     floor = _SIGMA_FLOOR_FACTOR * model.mass
@@ -170,15 +183,15 @@ def solve_cmc(
     residual = float(np.abs(geo.mean_curvature - h_target).max() * sigma**2)
     eigenvalues = None
     if config.compute_eigenvalues:
-        pairs = low_eigenpairs(surface, model, n=3, geometry=geo)
+        pairs = low_eigenpairs(geo, n=3)
         eigenvalues = tuple(lam for lam, _ in pairs)
     return CmcLeaf(
         sigma=float(sigma),
         surface=surface,
         residual=residual,
         iterations=total_iters,
-        center=euclidean_center(surface),
-        area_radius=float(np.sqrt(geo.area / (4.0 * np.pi))),
+        center=z,
+        geometry=geo,
         eigenvalues=eigenvalues,
     )
 
@@ -274,21 +287,18 @@ class RadialLapse:
     deviation_h2: float  # ||u - 1||_{H^2}
 
 
-def solve_radial_lapse(
-    leaf: CmcLeaf,
-    model: MetricModel,
-    geometry: SurfaceGeometry | None = None,
-) -> RadialLapse:
+def solve_radial_lapse(leaf: CmcLeaf) -> RadialLapse:
     """Solve ``L u = d(H_sigma)/d(sigma)`` on a solved leaf.
 
-    The right-hand side is the constant ``2/sigma^2 - 8m/sigma^3``; the
+    Runs on ``leaf.geometry`` and takes the mass ``m`` from its model.  The
+    right-hand side is the constant ``2/sigma^2 - 8m/sigma^3``; the
     degree-one near-kernel carries the center drift of the foliation and
     is resolved exactly by :meth:`SurfaceGeometry.solve_operator` (the
     matrix-free solve's l <= 1 block; a flat ambient's kernel is deflated).
     """
-    geo = geometry if geometry is not None else compute_geometry(leaf.surface, model)
+    geo = leaf.geometry
     sigma = leaf.sigma
-    rhs = (2.0 / sigma**2 - 8.0 * model.mass / sigma**3) * np.ones(geo.grid.n_nodes)
+    rhs = (2.0 / sigma**2 - 8.0 * geo.model.mass / sigma**3) * np.ones(geo.grid.n_nodes)
     u = geo.solve_operator(rhs)
     dev = u - 1.0
     return RadialLapse(

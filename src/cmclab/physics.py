@@ -11,6 +11,11 @@ Conventions shared by every operation here:
 * Averages over a leaf use the ambient-induced measure; only the
   momentum-density correction of :func:`quasi_local_momentum` uses the
   Euclidean-induced one.
+* Every on-surface function takes the leaf's :class:`SurfaceGeometry`
+  first (a solved leaf carries it as ``leaf.geometry``).  The geometry's
+  model is the ambient metric; an initial data set ``data`` supplies only
+  the extrinsic curvature ``kbar`` and the lapse, so it must be built on
+  that same ambient.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from .surfaces import (
     SurfaceEmbedding,
     SurfaceGeometry,
     compute_geometry,
-    euclidean_center,
     sobolev_norm,
     surface_divergence,
 )
@@ -54,14 +58,6 @@ __all__ = [
 ]
 
 EIGHT_PI = 8.0 * np.pi
-
-
-def _leaf_surface(leaf) -> SurfaceEmbedding:
-    return leaf.surface if isinstance(leaf, CmcLeaf) else leaf
-
-
-def _leaf_sigma(leaf, geometry: SurfaceGeometry) -> float:
-    return float(leaf.sigma) if isinstance(leaf, CmcLeaf) else geometry.sigma_scale
 
 
 @dataclass(frozen=True)
@@ -97,12 +93,9 @@ class MomentumReport:
 
 
 def quasi_local_momentum(
-    leaf,
-    data: InitialDataModel,
-    geometry: SurfaceGeometry | None = None,
-    sigma: float | None = None,
+    geometry: SurfaceGeometry, data: InitialDataModel, sigma: float
 ) -> MomentumReport:
-    """Surface momentum flux plus its slow-decay correction.
+    """Surface momentum flux plus its slow-decay correction on ``geometry``.
 
     The flux part integrates ``(kbar - tr(kbar) g)(nu, e_i)`` (the
     standard ADM momentum density) against the ambient measure; the
@@ -112,12 +105,11 @@ def quasi_local_momentum(
     measure (the ambient one differs inside the evolution law's own error
     budget, but the Euclidean choice makes the residual decay cleanly).
     Both pieces are reported separately and neither carries the 1/m.
-    ``sigma`` defaults to the leaf index (or the area radius for a plain
-    surface).
+    ``sigma`` scales the correction: the leaf index of a solved leaf, the
+    radius of a coordinate sphere.
     """
-    surface = _leaf_surface(leaf)
-    geo = geometry if geometry is not None else compute_geometry(surface, data.base)
-    sigma = float(sigma) if sigma is not None else _leaf_sigma(leaf, geo)
+    geo = geometry
+    sigma = float(sigma)
     x = geo.positions
     kb = data.kbar(x)
     hbar = np.einsum("nab,nab->n", geo.gbar_inv, kb)
@@ -176,20 +168,15 @@ def adm_center_integral(
     return center + integral / (16.0 * np.pi * model.mass)
 
 
-def lapse_rhs(
-    leaf,
-    data: InitialDataModel,
-    geometry: SurfaceGeometry | None = None,
-) -> ScalarField:
-    """Source of the evolution lapse equation on a leaf.
+def lapse_rhs(geometry: SurfaceGeometry, data: InitialDataModel) -> ScalarField:
+    """Source of the evolution lapse equation on the surface of ``geometry``.
 
     Assembles ``alpha (div kbar_nu - J(nu) - <k, kbar>) - (D_nu alpha)
     tr(kbar) + 2 kbar(nu, grad alpha)`` with ``kbar_nu`` the tangential
     part of ``kbar(nu, .)``, the divergence taken on the surface, and
     ``grad alpha`` the tangential gradient of the lapse.
     """
-    surface = _leaf_surface(leaf)
-    geo = geometry if geometry is not None else compute_geometry(surface, data.base)
+    geo = geometry
     x = geo.positions
     kb = data.kbar(x)
     alpha = data.lapse(x)
@@ -218,12 +205,8 @@ def lapse_rhs(
     return ScalarField(geo.grid, values)
 
 
-def solve_lapse(
-    leaf,
-    data: InitialDataModel,
-    geometry: SurfaceGeometry | None = None,
-) -> ScalarField:
-    """Solve the evolution lapse equation ``L w = lapse_rhs`` on the leaf.
+def solve_lapse(geometry: SurfaceGeometry, data: InitialDataModel) -> ScalarField:
+    """Solve the evolution lapse equation ``L w = lapse_rhs`` on ``geometry``.
 
     The near-kernel (degree-one) components carry the translation signal,
     amplified by about ``sigma^3 / 6m``; :meth:`SurfaceGeometry.solve_operator`
@@ -232,15 +215,13 @@ def solve_lapse(
     that loads a kernel mode (a degree-one source) raises
     :class:`SolvabilityError`.
     """
-    surface = _leaf_surface(leaf)
-    geo = geometry if geometry is not None else compute_geometry(surface, data.base)
-    rhs = lapse_rhs(leaf, data, geometry=geo)
-    w = geo.solve_operator(rhs.values, check_kernel_load=True)
-    return ScalarField(geo.grid, w)
+    rhs = lapse_rhs(geometry, data)
+    w = geometry.solve_operator(rhs.values, check_kernel_load=True)
+    return ScalarField(geometry.grid, w)
 
 
-def center_velocity_from_lapse(w: ScalarField, geometry: SurfaceGeometry) -> np.ndarray:
-    """Translation speed ``3 avg(nu_i w)`` of a leaf moved with normal speed ``w``."""
+def center_velocity_from_lapse(geometry: SurfaceGeometry, w: ScalarField) -> np.ndarray:
+    """Translation speed ``3 avg(nu_i w)`` of the surface moved with normal speed ``w``."""
     weights = geometry.weights_induced
     nu_avg = (weights[:, None] * (w.values[:, None] * geometry.normal)).sum(axis=0)
     return 3.0 * nu_avg / weights.sum()
@@ -272,21 +253,19 @@ class EvolutionReport:
         }
 
 
-def evolution_residual(
-    leaf,
-    data: InitialDataModel,
-    mass: float | None = None,
-    geometry: SurfaceGeometry | None = None,
-) -> EvolutionReport:
-    """Check ``3 avg(nu_i w) = pseudo-momentum / m`` on one leaf."""
-    surface = _leaf_surface(leaf)
-    geo = geometry if geometry is not None else compute_geometry(surface, data.base)
-    m = float(mass) if mass is not None else data.base.mass
+def evolution_residual(leaf: CmcLeaf, data: InitialDataModel) -> EvolutionReport:
+    """Check ``3 avg(nu_i w) = pseudo-momentum / m`` on one solved leaf.
+
+    Evaluated on ``leaf.geometry`` at ``sigma = leaf.sigma``; ``m`` is the
+    mass of the geometry's model.
+    """
+    geo = leaf.geometry
+    m = geo.model.mass
     if m <= 0:
         raise ModelError("evolution law needs a positive mass")
-    w = solve_lapse(leaf, data, geometry=geo)
-    velocity = center_velocity_from_lapse(w, geo)
-    momentum = quasi_local_momentum(leaf, data, geometry=geo)
+    w = solve_lapse(geo, data)
+    velocity = center_velocity_from_lapse(geo, w)
+    momentum = quasi_local_momentum(geo, data, leaf.sigma)
     return EvolutionReport(
         sigma=momentum.sigma,
         lapse=w,
@@ -353,8 +332,7 @@ def artificial_flow_integrate(
     def velocity(tau: float, z: np.ndarray) -> np.ndarray:
         data = artificial_data(model, tau, factor=kbar_factor, anchor=anchor)
         sphere = SurfaceEmbedding.round_sphere(grid, sigma, z)
-        geo = compute_geometry(sphere, data.base)
-        mom = quasi_local_momentum(sphere, data, geometry=geo, sigma=sigma)
+        mom = quasi_local_momentum(compute_geometry(sphere, data.base), data, sigma)
         return mom.pseudo_momentum / m
 
     h = 1.0 / tau_steps
@@ -404,18 +382,15 @@ def cmc_adm_center_report(
     sigmas,
     adm_radii=None,
     config: SolverConfig | None = None,
-    leaves=None,
 ) -> CenterReport:
     """Compare CMC leaf centers with the flux-integral center estimates.
 
-    Solves the leaves (or reuses ``leaves``), evaluates the flux integral
-    at each leaf scale and over a dyadic radius sweep, Richardson-
-    extrapolates the sweep, and fits the decay of the per-scale gap.
+    Solves the leaves, evaluates the flux integral at each leaf scale and
+    over a dyadic radius sweep, Richardson-extrapolates the sweep, and
+    fits the decay of the per-scale gap.
     """
     sigmas = np.asarray([float(s) for s in sigmas])
-    if leaves is None:
-        leaves = [solve_cmc(model, s, config) for s in sigmas]
-    cmc = np.array([euclidean_center(leaf.surface) for leaf in leaves])
+    cmc = np.array([solve_cmc(model, s, config).center for s in sigmas])
     formula = np.array([adm_center_integral(model, s) for s in sigmas])
     if adm_radii is None:
         adm_radii = [32.0 * 2**k for k in range(4)]

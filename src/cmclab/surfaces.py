@@ -108,10 +108,6 @@ class SurfaceEmbedding:
     def radius_values(self) -> np.ndarray:
         return self.grid.synthesize_values(self.rho_coeffs)
 
-    @property
-    def radial(self) -> ScalarField:
-        return ScalarField(self.grid, self.radius_values)
-
     @cached_property
     def positions(self) -> np.ndarray:
         return self.center + self.radius_values[:, None] * self.grid.directions
@@ -198,7 +194,6 @@ class SurfaceGeometry:
         det_e = a_e[:, 0, 0] * a_e[:, 1, 1] - a_e[:, 0, 1] ** 2
         if det_a.min() <= 0:
             raise SolverError("induced metric degenerate: surface parametrization broke down")
-        self.det_induced = det_a
         inv = np.empty_like(a)
         inv[:, 0, 0] = a[:, 1, 1]
         inv[:, 1, 1] = a[:, 0, 0]
@@ -209,7 +204,6 @@ class SurfaceGeometry:
         self.weights_induced = grid.weights * np.sqrt(det_a) / sin_t
         self.weights_euclidean = grid.weights * np.sqrt(det_e) / sin_t
         self.area = float(self.weights_induced.sum())
-        self.area_euclidean = float(self.weights_euclidean.sum())
         self.sigma_scale = float(np.sqrt(self.area / (4.0 * np.pi)))
 
         # outward unit normal: Euclidean cross product gives the conormal
@@ -300,9 +294,9 @@ class SurfaceGeometry:
         df = self.chart_derivs(values)
         return np.einsum("nIJ,nJ,nIa->na", self.induced_inv, df, self.tangents)
 
-    def integrate(self, values: np.ndarray, measure: str = "induced") -> float:
-        w = self.weights_induced if measure == "induced" else self.weights_euclidean
-        return float(w @ values)
+    def integrate(self, values: np.ndarray) -> float:
+        """``int values dmu`` over the ambient-induced measure."""
+        return float(self.weights_induced @ values)
 
     # -- weak-form operator -------------------------------------------------
 
@@ -498,35 +492,22 @@ def compute_geometry(surface: SurfaceEmbedding, model: MetricModel) -> SurfaceGe
     return SurfaceGeometry(surface, model)
 
 
-def euclidean_center(
-    surface: SurfaceEmbedding,
-    measure: str = "euclidean",
-    geometry: SurfaceGeometry | None = None,
-) -> np.ndarray:
+def euclidean_center(surface: SurfaceEmbedding) -> np.ndarray:
     """Coordinate centroid ``(int x dH^2) / (int dH^2)`` of the surface.
 
-    The default measure is the Euclidean-induced one (the convention of the
-    ADM comparison); ``measure="induced"`` uses the ambient-metric measure
-    and requires a precomputed geometry.  Exactly translation-equivariant.
+    The measure is the Euclidean-induced one (the convention of the ADM
+    comparison).  Exactly translation-equivariant.
     """
-    if measure == "euclidean":
-        grid = surface.grid
-        c = surface.rho_coeffs
-        rho = surface.radius_values
-        rho_t = grid.synthesize_values(c, dtheta=1)
-        rho_p = grid.synthesize_values(c, dphi=1)
-        sin_t = np.repeat(grid.sin_theta, grid.n_phi)
-        # |t_theta x t_phi| for a radial graph over the round sphere
-        jac = rho * np.sqrt((rho**2 + rho_t**2) * sin_t**2 + rho_p**2) / sin_t
-        w = grid.weights * jac
-    elif measure == "induced":
-        if geometry is None:
-            raise ConfigurationError("measure='induced' needs a computed geometry")
-        w = geometry.weights_induced
-        rho = surface.radius_values
-    else:
-        raise ConfigurationError(f"unknown center measure {measure!r}")
-    offsets = rho[:, None] * surface.grid.directions
+    grid = surface.grid
+    c = surface.rho_coeffs
+    rho = surface.radius_values
+    rho_t = grid.synthesize_values(c, dtheta=1)
+    rho_p = grid.synthesize_values(c, dphi=1)
+    sin_t = np.repeat(grid.sin_theta, grid.n_phi)
+    # |t_theta x t_phi| for a radial graph over the round sphere
+    jac = rho * np.sqrt((rho**2 + rho_t**2) * sin_t**2 + rho_p**2) / sin_t
+    w = grid.weights * jac
+    offsets = rho[:, None] * grid.directions
     return surface.center + (w @ offsets) / w.sum()
 
 
@@ -566,13 +547,8 @@ def _low_pairs(geo: SurfaceGeometry, n: int):
     return lams[keep], vecs[:, keep]
 
 
-def low_eigenpairs(
-    surface: SurfaceEmbedding,
-    model: MetricModel,
-    n: int = 3,
-    geometry: SurfaceGeometry | None = None,
-):
-    """The n smallest-|lambda| eigenpairs of the stability operator.
+def low_eigenpairs(geometry: SurfaceGeometry, n: int = 3):
+    """The n smallest-|lambda| eigenpairs of the stability operator of ``geometry``.
 
     Eigenvalues are reported in the positive-Laplacian spectral convention
     ``L f = -lambda f`` (so the degree-one cluster of a mass-m leaf sits
@@ -589,10 +565,9 @@ def low_eigenpairs(
     """
     if not 1 <= n <= 10:
         raise ConfigurationError(f"low_eigenpairs supports 1 to 10 pairs, got n={n}")
-    geo = geometry if geometry is not None else compute_geometry(surface, model)
-    lams, vecs = _low_pairs(geo, n)
+    lams, vecs = _low_pairs(geometry, n)
     return [
-        (float(lam), ScalarField(geo.grid, geo.grid.synthesize_values(v)))
+        (float(lam), ScalarField(geometry.grid, geometry.grid.synthesize_values(v)))
         for lam, v in zip(lams, vecs.T)
     ]
 

@@ -1,7 +1,9 @@
-"""Public names: every ``__all__`` entry resolves, and the benchmark's hooks still attach."""
+"""Public names: every ``__all__`` entry resolves and takes no optional geometry,
+and the benchmark's hooks still attach."""
 
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 import sys
 from pathlib import Path
@@ -19,6 +21,17 @@ def test_all_entries_resolve(name):
     module = importlib.import_module(name)
     for entry in getattr(module, "__all__", ()):
         getattr(module, entry)
+
+
+@pytest.mark.parametrize("name", ["cmclab"] + [f"cmclab.{m}" for m in MODULES])
+def test_no_public_callable_takes_an_optional_geometry(name):
+    """On-surface functions take the geometry they evaluate on; none rebuilds a missing one."""
+    module = importlib.import_module(name)
+    for entry in getattr(module, "__all__", ()):
+        obj = getattr(module, entry)
+        if callable(obj):
+            geometry = inspect.signature(obj).parameters.get("geometry")
+            assert geometry is None or geometry.default is not None, f"{name}.{entry}"
 
 
 def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):

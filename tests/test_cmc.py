@@ -198,7 +198,7 @@ def test_foliation_requires_increasing_schedule():
 def test_radial_lapse_near_one_plus_m_over_sigma():
     m, sigma = 1.0, 16.0
     leaf = solve_cmc(schwarzschild(m), sigma, CFG)
-    lapse = solve_radial_lapse(leaf, schwarzschild(m))
+    lapse = solve_radial_lapse(leaf)
     u = lapse.field.values
     assert np.abs(u - (1.0 + m / sigma)).max() <= 0.1
     assert lapse.deviation_w1inf <= 0.2
@@ -210,7 +210,7 @@ def test_radial_lapse_matches_bisection_oracle():
     model = schwarzschild(m)
     for sigma in (16.0, 32.0):
         leaf = solve_cmc(model, sigma, CFG)
-        u = solve_radial_lapse(leaf, model).field.values
+        u = solve_radial_lapse(leaf).field.values
         h = 1e-5
         rp, rm = oracle_radius(m, sigma + h), oracle_radius(m, sigma - h)
         r0 = oracle_radius(m, sigma)
@@ -220,7 +220,7 @@ def test_radial_lapse_matches_bisection_oracle():
 
 def test_radial_lapse_flat_limit_is_one():
     leaf = solve_cmc(euclidean(), 8.0, CFG)
-    lapse = solve_radial_lapse(leaf, euclidean())
+    lapse = solve_radial_lapse(leaf)
     assert np.abs(lapse.field.values - 1.0).max() < 1e-10
 
 
@@ -233,11 +233,11 @@ def test_radial_lapse_matches_leaf_finite_difference():
     plus = solve_cmc(model, sigma + h, cfg)
     minus = solve_cmc(model, sigma - h, cfg, enforce_floor=False)
     drho = (plus.surface.radius_values - minus.surface.radius_values) / (2 * h)
-    geo = compute_geometry(leaf.surface, model)
+    geo = leaf.geometry
     # normal speed = radial speed * gbar(N, nu)
     proj = np.einsum("ni,nij,nj->n", geo.grid.directions, geo.gbar, geo.normal)
     fd_u = drho * proj
-    u = solve_radial_lapse(leaf, model).field.values
+    u = solve_radial_lapse(leaf).field.values
     assert np.abs(fd_u - u).max() < 5.0 * h
 
 
@@ -271,13 +271,12 @@ def test_leaf_area_and_trace_free_bounds():
     Schwarzschild family the trace-free part is zero to round-off, so the
     second bound is exercised on a perturbed model.
     """
-    from cmclab.surfaces import compute_geometry, sobolev_norm
+    from cmclab.surfaces import sobolev_norm
 
     model = schwarzschild(1.0)
     area_consts = []
     for sigma in (8.0, 16.0, 32.0):
-        leaf = solve_cmc(model, sigma, CFG)
-        geo = compute_geometry(leaf.surface, model)
+        geo = solve_cmc(model, sigma, CFG).geometry
         area_consts.append(abs(geo.area - 4 * np.pi * sigma**2) / sigma)
         ktf_inf = sobolev_norm(geo, geo.trace_free, k=0, p=np.inf)
         assert ktf_inf <= 1e-10 / sigma**2 + 1e-12  # round spheres are umbilic
@@ -287,7 +286,6 @@ def test_leaf_area_and_trace_free_bounds():
     odd = perturbed_schwarzschild(1.0, 0.5, 0.1, "odd")
     consts = []
     for sigma in (8.0, 16.0, 32.0):
-        leaf = solve_cmc(odd, sigma, CFG)
-        geo = compute_geometry(leaf.surface, odd)
+        geo = solve_cmc(odd, sigma, CFG).geometry
         consts.append(sobolev_norm(geo, geo.trace_free, k=0, p=np.inf) * sigma**2)
     assert max(consts) <= 10.0

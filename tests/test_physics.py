@@ -1,11 +1,12 @@
 """Momentum, centers, the lapse equation, and the evolution law."""
 
+import json
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from cmclab.errors import SolvabilityError
+from cmclab.errors import ModelError, SolvabilityError
 from cmclab.models import (
     InitialDataModel,
     MetricModel,
@@ -16,7 +17,7 @@ from cmclab.models import (
     time_symmetric_data,
     translated,
 )
-from cmclab.cmc import SolverConfig, solve_cmc
+from cmclab.cmc import SolverConfig, solve_cmc, solve_foliation, solve_radial_lapse
 from cmclab.fits import fit_decay_exponent
 from cmclab.physics import (
     adm_center_integral,
@@ -30,6 +31,7 @@ from cmclab.physics import (
 from cmclab.sphere import ScalarField, build_grid
 from cmclab.surfaces import (
     SurfaceEmbedding,
+    SurfaceGeometry,
     compute_geometry,
     euclidean_center,
     low_eigenpairs,
@@ -51,7 +53,7 @@ def synthetic16():
 
 def test_momentum_vanishes_for_time_symmetric(schw_leaf16):
     data = time_symmetric_data(schwarzschild(M))
-    rep = quasi_local_momentum(schw_leaf16, data)
+    rep = quasi_local_momentum(schw_leaf16.geometry, data, schw_leaf16.sigma)
     assert np.abs(rep.quasi_local).max() < 1e-14
     assert np.abs(rep.correction).max() < 1e-14
 
@@ -68,7 +70,7 @@ def test_momentum_pure_trace_kbar_nearly_cancels(schw_leaf16):
         return c * base._dg(x)
 
     data = InitialDataModel(base=base, time_symmetric=False, _kbar=kb, _dkbar=dkb)
-    rep = quasi_local_momentum(schw_leaf16, data)
+    rep = quasi_local_momentum(schw_leaf16.geometry, data, schw_leaf16.sigma)
     # scale: the integrand magnitude is ~2c over area ~4 pi sigma^2 / 8 pi
     assert np.abs(rep.quasi_local).max() < 1e-3 * c * schw_leaf16.sigma**2
 
@@ -79,7 +81,7 @@ def test_momentum_flat_space_closed_form(synthetic16):
     flux_err, corr_err = [], []
     for s in sigmas:
         leaf = solve_cmc(schwarzschild(M), s, CFG)
-        rep = quasi_local_momentum(leaf, synthetic16)
+        rep = quasi_local_momentum(leaf.geometry, synthetic16, leaf.sigma)
         flux_err.append(abs(rep.quasi_local[0] - 1.0 / 3.0))
         corr_err.append(abs(rep.correction[0] + 1.0 / 3.0))
         assert np.abs(rep.quasi_local[1:]).max() < 1e-12
@@ -90,10 +92,11 @@ def test_momentum_flat_space_closed_form(synthetic16):
 
 def test_momentum_matches_fine_quadrature(synthetic16):
     leaf = solve_cmc(schwarzschild(M), 16.0, CFG)
-    rep = quasi_local_momentum(leaf, synthetic16)
+    rep = quasi_local_momentum(leaf.geometry, synthetic16, leaf.sigma)
     fine = build_grid(4 * leaf.surface.grid.band_limit)
     refined = SurfaceEmbedding(fine, leaf.surface.center, _pad(leaf.surface, fine))
-    rep_fine = quasi_local_momentum(refined, synthetic16, sigma=leaf.sigma)
+    geo_fine = compute_geometry(refined, synthetic16.base)
+    rep_fine = quasi_local_momentum(geo_fine, synthetic16, leaf.sigma)
     assert np.abs(rep.quasi_local - rep_fine.quasi_local).max() < 1e-6
     assert np.abs(rep.correction - rep_fine.correction).max() < 1e-6
 
@@ -108,8 +111,8 @@ def test_momentum_linarity_in_kbar(schw_leaf16):
     base = schwarzschild(M)
     d1 = synthetic_data(base, delta=1.0, amplitude=1.0)
     d2 = synthetic_data(base, delta=1.0, amplitude=2.0)
-    r1 = quasi_local_momentum(schw_leaf16, d1)
-    r2 = quasi_local_momentum(schw_leaf16, d2)
+    r1 = quasi_local_momentum(schw_leaf16.geometry, d1, schw_leaf16.sigma)
+    r2 = quasi_local_momentum(schw_leaf16.geometry, d2, schw_leaf16.sigma)
     assert np.allclose(r2.quasi_local, 2.0 * r1.quasi_local, rtol=1e-10, atol=1e-14)
     assert np.allclose(r2.correction, 2.0 * r1.correction, rtol=1e-10, atol=1e-14)
 
@@ -149,7 +152,7 @@ def test_adm_leaf_formula_matches_odd_model_closed_form():
 
 def test_lapse_rhs_zero_for_time_symmetric(schw_leaf16):
     data = time_symmetric_data(schwarzschild(M))
-    rhs = lapse_rhs(schw_leaf16, data)
+    rhs = lapse_rhs(schw_leaf16.geometry, data)
     assert np.abs(rhs.values).max() == 0.0
 
 
@@ -159,7 +162,7 @@ def test_lapse_rhs_scaling(synthetic16):
     norms = []
     for s in sigmas:
         leaf = solve_cmc(schwarzschild(M), s, CFG)
-        norms.append(np.abs(lapse_rhs(leaf, synthetic16).values).max())
+        norms.append(np.abs(lapse_rhs(leaf.geometry, synthetic16).values).max())
     fit = fit_decay_exponent(sigmas, norms)
     assert fit.exponent >= 2.7  # 2 + min(eps, delta) = 3 up to curvature corrections
     assert fit.residual < 0.1
@@ -167,7 +170,7 @@ def test_lapse_rhs_scaling(synthetic16):
 
 def test_solve_lapse_zero_rhs_gives_zero(schw_leaf16):
     data = time_symmetric_data(schwarzschild(M))
-    w = solve_lapse(schw_leaf16, data)
+    w = solve_lapse(schw_leaf16.geometry, data)
     assert np.abs(w.values).max() == 0.0
 
 
@@ -177,9 +180,8 @@ def test_solve_lapse_eigen_identity(schw_leaf16):
     `low_eigenpairs` reports the positive-Laplacian convention, so the
     operator eigenvalue is the negative of the reported one.
     """
-    model = schwarzschild(M)
-    geo = compute_geometry(schw_leaf16.surface, model)
-    lam_report, f = low_eigenpairs(schw_leaf16.surface, model, n=1, geometry=geo)[0]
+    geo = schw_leaf16.geometry
+    lam_report, f = low_eigenpairs(geo, n=1)[0]
     rhs = -lam_report * f.values
     w = geo.solve_operator(rhs)
     assert np.abs(w - f.values).max() < 1e-8 * np.abs(f.values).max()
@@ -208,9 +210,8 @@ def test_lapse_growth_bound(synthetic16):
 
 def test_center_velocity_constant_lapse_is_zero(schw_leaf16):
     grid = schw_leaf16.surface.grid
-    geo = compute_geometry(schw_leaf16.surface, schwarzschild(M))
     w = ScalarField(grid, np.ones(grid.n_nodes))
-    v = center_velocity_from_lapse(w, geo)
+    v = center_velocity_from_lapse(schw_leaf16.geometry, w)
     assert np.abs(v).max() < 1e-4  # near-round leaf: average of nu is small
 
 
@@ -219,7 +220,7 @@ def test_center_velocity_unit_mode_on_euclidean_sphere():
     sphere = SurfaceEmbedding.round_sphere(grid, 5.0)
     geo = compute_geometry(sphere, euclidean())
     w = ScalarField(grid, grid.directions[:, 0])
-    v = center_velocity_from_lapse(w, geo)
+    v = center_velocity_from_lapse(geo, w)
     assert np.allclose(v, [1.0, 0.0, 0.0], atol=1e-12)
 
 
@@ -227,14 +228,14 @@ def test_center_velocity_matches_deformation_oracle():
     """3 avg(nu w) tracks the finite-difference motion of the centroid."""
     model = schwarzschild(M)
     leaf = solve_cmc(model, 16.0, CFG)
-    geo = compute_geometry(leaf.surface, model)
+    geo = leaf.geometry
     grid = leaf.surface.grid
     rng = np.random.default_rng(3)
     c = np.zeros(grid.n_coeffs)
     c[grid.coeff_l <= 4] = rng.standard_normal(int((grid.coeff_l <= 4).sum()))
     w = grid.synthesize_values(c)
     w /= np.abs(w).max()
-    v = center_velocity_from_lapse(ScalarField(grid, w), geo)
+    v = center_velocity_from_lapse(geo, ScalarField(grid, w))
     # deform with normal speed w: radial speed = w / gbar(N, nu)
     proj = np.einsum("ni,nij,nj->n", grid.directions, geo.gbar, geo.normal)
     h = 1e-4
@@ -364,8 +365,7 @@ def test_lapse_rhs_matches_metric_variation_oracle():
     Hm = compute_geometry(surf, interpolated(model, tau0 - dtau, anchor=origin)).mean_curvature
     dH = (Hp - Hm) / (2 * dtau)
     data = artificial_data(model, tau0, factor=0.5, anchor=origin)
-    geo = compute_geometry(surf, data.base)
-    rhs = lapse_rhs(surf, data, geometry=geo)
+    rhs = lapse_rhs(compute_geometry(surf, data.base), data)
     assert np.abs(rhs.values + dH).max() < 1e-8 * np.abs(dH).max()
 
 
@@ -391,15 +391,15 @@ def test_each_ambient_tensor_is_evaluated_once(monkeypatch):
     geo = compute_geometry(sphere, model)
     assert calls == {"metric": 1, "metric_deriv": 1}
     calls.clear()
-    quasi_local_momentum(sphere, data, geometry=geo)
-    lapse_rhs(sphere, data, geometry=geo)
+    quasi_local_momentum(geo, data, geo.sigma_scale)
+    lapse_rhs(geo, data)
     assert not calls
     geo.potential
     assert calls == {"metric_deriv2": 1}
     calls.clear()
     geo.potential
-    quasi_local_momentum(sphere, data, geometry=geo)
-    lapse_rhs(sphere, data, geometry=geo)
+    quasi_local_momentum(geo, data, geo.sigma_scale)
+    lapse_rhs(geo, data)
     assert not calls
 
 
@@ -419,3 +419,43 @@ def test_artificial_flow_builds_no_ricci_tensor(monkeypatch):
     flow = artificial_flow_integrate(model, 32.0, tau_steps=1, band_limit=8)
     assert np.all(np.isfinite(flow.centers))
     assert calls == []
+
+
+@pytest.mark.parametrize("ambient", ["odd", "flat"])
+def test_on_surface_physics_reuses_the_leaf_geometry(ambient, monkeypatch):
+    """A solved leaf carries its converged geometry, and no on-surface function rebuilds it.
+
+    The kept geometry equals a fresh build bit for bit and stays out of the leaf's record.
+    """
+    if ambient == "odd":
+        model = perturbed_schwarzschild(M, 0.5, 0.1, "odd")
+        data = synthetic_data(model, delta=1.0, amplitude=1.0, direction=(0.6, 0.0, 0.8))
+        sigmas = [16.0, 32.0]
+    else:
+        model = euclidean()
+        data = time_symmetric_data(model)
+        sigmas = [4.0, 8.0]
+    result = solve_foliation(model, sigmas, SolverConfig(band_limit=12))
+    assert result.sigmas == sigmas
+    fresh = [compute_geometry(leaf.surface, model) for leaf in result.leaves]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a SurfaceGeometry was rebuilt")
+
+    monkeypatch.setattr(SurfaceGeometry, "__init__", refuse)
+    for leaf, geo in zip(result.leaves, fresh):
+        for name in ("mean_curvature", "weights_induced", "normal"):
+            assert np.array_equal(getattr(leaf.geometry, name), getattr(geo, name))
+        assert leaf.area_radius == geo.sigma_scale
+        record = leaf.to_record()
+        assert "geometry" not in record
+        json.dumps(record)
+        if model.mass > 0:
+            evolution_residual(leaf, data)
+        else:  # the evolution law needs a mass; the lapse solve still runs
+            with pytest.raises(ModelError):
+                evolution_residual(leaf, data)
+            solve_lapse(leaf.geometry, data)
+        solve_radial_lapse(leaf)
+        quasi_local_momentum(leaf.geometry, data, leaf.sigma)
+        low_eigenpairs(leaf.geometry)
