@@ -219,7 +219,8 @@ def stage_study(config: ExperimentConfig):
     leaves = result.leaves
     sigmas = [leaf.sigma for leaf in leaves]
     eps = model.decay.epsilon
-    delta = model.decay.delta
+    # the kbar exponent configures the data set; the metric's decay class does not carry it
+    delta = float(config.model_spec.get("delta", 1.0))
     rows = []
     ok = True
 

@@ -25,7 +25,7 @@ from .surfaces import (
     euclidean_center,
     low_eigenpairs,
     resample,
-    sobolev_norm,
+    w1inf_norm,
 )
 
 _log = logging.getLogger(__name__)
@@ -33,6 +33,9 @@ _log = logging.getLogger(__name__)
 #: the final re-centering loop stops once the centroid is this close to the
 #: parametrization center, relative to sigma
 _CANONICAL_CENTER_TOL = 1e-9
+#: a Newton iterate is re-centered once its centroid drifts past this
+#: fraction of sigma from the parametrization center
+_RECENTER_FRACTION = 0.1
 #: continuation floor: leaves need sigma >= this factor times the mass
 _SIGMA_FLOOR_FACTOR = 8.0
 #: consecutive residual increases that abort a Newton loop
@@ -55,24 +58,24 @@ class SolverConfig:
     """Newton/continuation parameters.
 
     ``newton_tol`` bounds the scaled residual ``||H - H_sigma||_inf *
-    sigma^2``.  Re-centering triggers during the iteration once the
-    centroid drifts past ``recenter_threshold * sigma`` and at the end
-    until it is below ``_CANONICAL_CENTER_TOL * sigma``; the published
-    representation therefore has its parametrization center on the
-    Euclidean centroid.
+    sigma^2``; ``max_newton`` caps the Newton iterations of each
+    re-centering round; ``compute_eigenvalues`` asks :func:`solve_cmc` for
+    the three lowest stability eigenvalues of each leaf.  Re-centering
+    triggers during the iteration once the centroid drifts past
+    ``_RECENTER_FRACTION * sigma`` and at the end until it is below
+    ``_CANONICAL_CENTER_TOL * sigma``; the published representation
+    therefore has its parametrization center on the Euclidean centroid.
     """
 
     band_limit: int = 32
     newton_tol: float = 1e-10
     max_newton: int = 30
-    recenter_threshold: float = 0.1
     compute_eigenvalues: bool = True
 
     def __post_init__(self):
         for name, ok, description in (
             ("newton_tol", self.newton_tol > 0, "must be positive"),
             ("max_newton", self.max_newton >= 1, "must be >= 1"),
-            ("recenter_threshold", self.recenter_threshold > 0, "must be positive"),
         ):
             if not ok:
                 value = getattr(self, name)
@@ -225,7 +228,7 @@ def _newton_loop(surface, model, h_target, sigma, config):
         _log.debug("newton sigma=%g iter=%d residual=%.3e krylov=%d", sigma, it, residual, krylov)
         surface = surface.with_radius(surface.rho_coeffs + du)
         z = euclidean_center(surface)
-        if np.linalg.norm(z - surface.center) > config.recenter_threshold * sigma:
+        if np.linalg.norm(z - surface.center) > _RECENTER_FRACTION * sigma:
             surface = resample(surface, z)
             previous = np.inf  # resampling perturbs the residual benignly
             increases = 0
@@ -280,11 +283,14 @@ def _check_nested(leaves) -> bool:
 
 @dataclass(frozen=True)
 class RadialLapse:
-    """Lapse of the foliation flow in the sigma direction, with norms."""
+    """Lapse ``u`` of the foliation flow in the sigma direction.
+
+    ``deviation_w1inf`` is ``||u - 1||_{W^{1,inf}}`` at scale sigma
+    (:func:`w1inf_norm`), the quantity the paper keeps small.
+    """
 
     field: ScalarField
-    deviation_w1inf: float  # ||u - 1||_{W^{1,inf}}
-    deviation_h2: float  # ||u - 1||_{H^2}
+    deviation_w1inf: float
 
 
 def solve_radial_lapse(leaf: CmcLeaf) -> RadialLapse:
@@ -295,14 +301,13 @@ def solve_radial_lapse(leaf: CmcLeaf) -> RadialLapse:
     degree-one near-kernel carries the center drift of the foliation and
     is resolved exactly by :meth:`SurfaceGeometry.solve_operator` (the
     matrix-free solve's l <= 1 block; a flat ambient's kernel is deflated).
+    Returns ``u`` with ``||u - 1||_{W^{1,inf}}`` at scale sigma.
     """
     geo = leaf.geometry
     sigma = leaf.sigma
     rhs = (2.0 / sigma**2 - 8.0 * geo.model.mass / sigma**3) * np.ones(geo.grid.n_nodes)
     u = geo.solve_operator(rhs)
-    dev = u - 1.0
     return RadialLapse(
         field=ScalarField(geo.grid, u),
-        deviation_w1inf=sobolev_norm(geo, dev, k=1, p=np.inf, scale=sigma),
-        deviation_h2=sobolev_norm(geo, dev, k=2, p=2, scale=sigma),
+        deviation_w1inf=w1inf_norm(geo, u - 1.0, sigma),
     )

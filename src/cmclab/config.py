@@ -45,7 +45,6 @@ _RUN_KEYS = {"sigmas", "band_limit", "out"}
 _SOLVER_KEYS = {
     "newton_tol",
     "max_newton",
-    "recenter_threshold",
     "compute_eigenvalues",
 }
 _ADM_KEYS = {"radii"}

@@ -60,14 +60,12 @@ class DecayClass:
     """Decay order bookkeeping: ``|d^g (g - gS)| <= constant / r^(1+|g|+epsilon)``.
 
     ``delta`` is the extrinsic-curvature exponent of the matching data set
-    (``|d^g kbar| <= c / r^(1+|g|+delta)``); ``order`` is the number of
-    controlled derivatives.
+    (``|d^g kbar| <= c / r^(1+|g|+delta)``).
     """
 
     epsilon: float
     delta: float = 1.0
     constant: float | None = None
-    order: int = 2
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -76,8 +74,6 @@ class DecayClass:
             raise ModelError(f"delta must lie in (0, 1 + epsilon], got {self.delta}")
         if self.constant is not None and self.constant < 0:
             raise ModelError("decay constant must be nonnegative")
-        if self.order < 2:
-            raise ModelError("need at least two controlled derivative orders")
 
 
 @dataclass(frozen=True)
@@ -134,7 +130,6 @@ class InitialDataModel:
     """Initial data set: base metric plus extrinsic curvature and lapse."""
 
     base: MetricModel
-    time_symmetric: bool
     _kbar: Callable = None
     _dkbar: Callable = None
     _alpha: Callable = None
@@ -378,7 +373,7 @@ def time_symmetric_data(base: MetricModel) -> InitialDataModel:
     def dkb(x):
         return np.zeros(x.shape[:-1] + (3, 3, 3))
 
-    return InitialDataModel(base=base, time_symmetric=True, _kbar=kb, _dkbar=dkb)
+    return InitialDataModel(base=base, _kbar=kb, _dkbar=dkb)
 
 
 def synthetic_data(
@@ -417,7 +412,7 @@ def synthetic_data(
             - (2.0 + delta) * x[..., :, None, None] * bx[..., None, :, :] * r ** -(4.0 + delta)
         )
 
-    return InitialDataModel(base=base, time_symmetric=False, _kbar=kb, _dkbar=dkb)
+    return InitialDataModel(base=base, _kbar=kb, _dkbar=dkb)
 
 
 def artificial_data(
@@ -448,15 +443,7 @@ def artificial_data(
     def dalpha(x):
         return np.zeros(np.asarray(x).shape)
 
-    trivial = model.decay.constant == 0.0
-    return InitialDataModel(
-        base=ambient,
-        time_symmetric=trivial,
-        _kbar=kb,
-        _dkbar=dkb,
-        _alpha=alpha,
-        _dalpha=dalpha,
-    )
+    return InitialDataModel(base=ambient, _kbar=kb, _dkbar=dkb, _alpha=alpha, _dalpha=dalpha)
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,8 @@ from .surfaces import (
     SurfaceEmbedding,
     SurfaceGeometry,
     compute_geometry,
-    sobolev_norm,
     surface_divergence,
+    w1inf_norm,
 )
 from .cmc import CmcLeaf, SolverConfig, solve_cmc
 
@@ -272,7 +272,7 @@ def evolution_residual(leaf: CmcLeaf, data: InitialDataModel) -> EvolutionReport
         center_velocity=velocity,
         prediction=momentum.pseudo_momentum / m,
         momentum=momentum,
-        lapse_w1inf=sobolev_norm(geo, w.values, k=1, p=np.inf, scale=momentum.sigma),
+        lapse_w1inf=w1inf_norm(geo, w.values, momentum.sigma),
     )
 
 

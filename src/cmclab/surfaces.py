@@ -37,9 +37,9 @@ __all__ = [
     "compute_geometry",
     "euclidean_center",
     "low_eigenpairs",
-    "sobolev_norm",
     "resample",
     "surface_divergence",
+    "w1inf_norm",
 ]
 
 #: fraction of spectral energy allowed in the top two degrees before a
@@ -144,9 +144,10 @@ class SurfaceGeometry:
     """First/second fundamental forms and derived fields of one embedding.
 
     Instances are computed once by :func:`compute_geometry` and treated as
-    immutable; ``Ric(nu, nu)``, the stability potential, the l <= 1
-    Galerkin block and the operator's exact kernel are computed on first
-    use and cached.  No solve reads the dense (test-oracle) matrices.
+    immutable; ``|k|^2``, the trace-free part of ``k``, ``Ric(nu, nu)``,
+    the stability potential, the l <= 1 Galerkin block and the operator's
+    exact kernel are computed on first use and cached.  No solve reads the
+    dense (test-oracle) matrices.
     """
 
     def __init__(self, surface: SurfaceEmbedding, model: MetricModel):
@@ -226,10 +227,17 @@ class SurfaceGeometry:
         kk = np.einsum("nIJk,nk->nIJ", self.second_derivs + gamma_t, self.normal_flat)
         self.second_fund = kk
         self.mean_curvature = np.einsum("nIJ,nIJ->n", self.induced_inv, kk)
-        self.trace_free = kk - 0.5 * self.mean_curvature[:, None, None] * a
-        self.k_norm2 = np.einsum(
-            "nIK,nJL,nIJ,nKL->n", self.induced_inv, self.induced_inv, kk, kk
-        )
+
+    @cached_property
+    def trace_free(self) -> np.ndarray:
+        """Trace-free second fundamental form ``k - (H/2) a`` in chart components."""
+        return self.second_fund - 0.5 * self.mean_curvature[:, None, None] * self.induced
+
+    @cached_property
+    def k_norm2(self) -> np.ndarray:
+        """``|k|^2 = a^IK a^JL k_IJ k_KL``."""
+        kk = self.second_fund
+        return np.einsum("nIK,nJL,nIJ,nKL->n", self.induced_inv, self.induced_inv, kk, kk)
 
     @cached_property
     def trace_free_norm2(self) -> np.ndarray:
@@ -266,28 +274,6 @@ class SurfaceGeometry:
             [self.grid.synthesize_values(c, dtheta=1), self.grid.synthesize_values(c, dphi=1)],
             axis=1,
         )
-
-    @cached_property
-    def chart_christoffel(self) -> np.ndarray:
-        """Induced-metric Christoffel symbols ``(n, 2, 2, 2)``, node-exact.
-
-        Built from analytic chart derivatives of the induced metric
-        (embedding second derivatives plus ambient metric derivatives), so
-        no spectral differentiation of tensor components is involved.
-        """
-        # d_K a_IJ = x_KI.g.t_J + t_I.g.x_KJ + t_I.(t_K^m d_m g).t_J
-        dg_along = np.einsum("nKm,nmab->nKab", self.tangents, self.dgbar)
-        da = (
-            np.einsum("nKIa,nab,nJb->nKIJ", self.second_derivs, self.gbar, self.tangents)
-            + np.einsum("nIa,nab,nKJb->nKIJ", self.tangents, self.gbar, self.second_derivs)
-            + np.einsum("nIa,nKab,nJb->nKIJ", self.tangents, dg_along, self.tangents)
-        )
-        t = (
-            np.einsum("nILJ->nLIJ", da)
-            + np.einsum("nJLI->nLIJ", da)
-            - da
-        )
-        return 0.5 * np.einsum("nKL,nLIJ->nKIJ", self.induced_inv, t)
 
     def tangential_gradient(self, values: np.ndarray) -> np.ndarray:
         """Surface gradient of a node scalar in ambient components (n, 3)."""
@@ -583,92 +569,17 @@ def surface_divergence(geometry: SurfaceGeometry, vector: np.ndarray) -> np.ndar
     return np.einsum("nIJ,nIk,nkl,nJl->n", geometry.induced_inv, covar, geometry.gbar, geometry.tangents)
 
 
-def _tensor_pointwise_norm(geometry: SurfaceGeometry, T: np.ndarray) -> np.ndarray:
-    inv = geometry.induced_inv
-    return np.sqrt(
-        np.maximum(np.einsum("nIK,nJL,nIJ,nKL->n", inv, inv, T, T), 0.0)
-    )
+def w1inf_norm(geometry: SurfaceGeometry, values: np.ndarray, scale: float) -> float:
+    """Scale-invariant ``W^{1,inf}`` norm ``sup|f| + scale * sup|grad f|`` of a node scalar.
 
-
-def _lp_norm(geometry: SurfaceGeometry, values: np.ndarray, p) -> float:
-    if p == np.inf or p == "inf":
-        return float(np.abs(values).max())
-    p = float(p)
-    return float(geometry.integrate(np.abs(values) ** p) ** (1.0 / p))
-
-
-def sobolev_norm(
-    geometry: SurfaceGeometry,
-    field,
-    k: int = 0,
-    p=2,
-    scale: float | None = None,
-) -> float:
-    """Scale-invariant Sobolev norm ``|T|_{L^p} + sigma * |grad T|_{W^{k-1,p}}``.
-
-    ``field`` is a scalar (ScalarField or node array) or a chart-component
-    (0,2)-tensor of shape (n, 2, 2), e.g. the trace-free curvature.  The
-    scale defaults to the surface's area radius.  Scalars support k <= 2,
-    tensors k <= 1.
+    ``|grad f|^2 = a^IJ d_I f d_J f`` in the induced metric, with the chart
+    derivatives of :meth:`SurfaceGeometry.chart_derivs`.  The lab reports it
+    for the radial lapse deviation ``u - 1`` and the evolution lapse ``w``,
+    both at ``scale = sigma``.
     """
-    if k not in (0, 1, 2):
-        raise ConfigurationError("sobolev_norm supports orders k in {0, 1, 2}")
-    if p not in (1, 2, np.inf, "inf"):
-        raise ConfigurationError("sobolev_norm supports p in {1, 2, inf}")
-    sigma = float(scale) if scale is not None else geometry.sigma_scale
-    values = field.values if isinstance(field, ScalarField) else np.asarray(field, dtype=float)
-
-    if values.ndim == 1:
-        total = _lp_norm(geometry, np.abs(values), p)
-        if k == 0:
-            return total
-        df = geometry.chart_derivs(values)  # one-form d_I f
-        grad_norm = np.sqrt(
-            np.maximum(np.einsum("nIJ,nI,nJ->n", geometry.induced_inv, df, df), 0.0)
-        )
-        if k == 1:
-            return total + sigma * _lp_norm(geometry, grad_norm, p)
-        # Hessian: nabla_I d_J f = d_I d_J f - Gamma^K_IJ d_K f
-        c = geometry.grid.analyze_values(values)
-        g = geometry.grid
-        hess_chart = np.empty((g.n_nodes, 2, 2))
-        hess_chart[:, 0, 0] = g.synthesize_values(c, dtheta=2)
-        hess_chart[:, 0, 1] = hess_chart[:, 1, 0] = g.synthesize_values(c, dtheta=1, dphi=1)
-        hess_chart[:, 1, 1] = g.synthesize_values(c, dphi=2)
-        hess = hess_chart - np.einsum("nKIJ,nK->nIJ", geometry.chart_christoffel, df)
-        hess_norm = _tensor_pointwise_norm(geometry, hess)
-        return total + sigma * (
-            _lp_norm(geometry, grad_norm, p) + sigma * _lp_norm(geometry, hess_norm, p)
-        )
-
-    if values.shape[1:] == (2, 2):
-        if k > 1:
-            raise ConfigurationError("tensor Sobolev norms support k <= 1")
-        total = _lp_norm(geometry, _tensor_pointwise_norm(geometry, values), p)
-        if k == 0:
-            return total
-        dT = np.empty((values.shape[0], 2, 2, 2))  # (n, K, I, J) = d_K T_IJ
-        for I in range(2):
-            for J in range(2):
-                dT[:, :, I, J] = geometry.chart_derivs(values[:, I, J])
-        gam = geometry.chart_christoffel
-        covar = (
-            dT
-            - np.einsum("nLKI,nLJ->nKIJ", gam, values)
-            - np.einsum("nLKJ,nIL->nKIJ", gam, values)
-        )
-        inv = geometry.induced_inv
-        norm = np.sqrt(
-            np.maximum(
-                np.einsum(
-                    "nKM,nIN,nJP,nKIJ,nMNP->n", inv, inv, inv, covar, covar
-                ),
-                0.0,
-            )
-        )
-        return total + sigma * _lp_norm(geometry, norm, p)
-
-    raise ConfigurationError(f"unsupported field shape {values.shape} for sobolev_norm")
+    df = geometry.chart_derivs(values)
+    grad_norm = np.sqrt(np.maximum(np.einsum("nIJ,nI,nJ->n", geometry.induced_inv, df, df), 0.0))
+    return float(np.abs(values).max()) + float(scale) * float(grad_norm.max())
 
 
 def resample(

@@ -65,8 +65,6 @@ def test_config_builds_translated_interpolated_model():
     )
     model = cfg.build_model()
     assert np.allclose(model.exclusion_center, [5.0, 0.0, 0.0])
-    data = cfg.build_data(model)
-    assert data.time_symmetric
 
 
 def small_config(tmp_path, **extra):
@@ -230,6 +228,22 @@ def test_study_stage_gates(tmp_path):
     assert by_name["eigenvalue_deviation"]["passed"]
 
 
+def test_study_evolution_gate_reads_configured_delta(tmp_path):
+    """kbar ~ r^-(1.3) bounds the residual exponent by min(epsilon, delta) = 0.3, not 1."""
+    cfg = config_from_dict(
+        {
+            "model": {"kind": "schwarzschild", "m": 1.0, "B": 1.0, "delta": 0.3},
+            "run": {"sigmas": [16.0, 32.0, 64.0, 128.0], "band_limit": 8, "out": str(tmp_path / "s")},
+        }
+    )
+    manifest, status = run_experiment("study", cfg)
+    assert status == 0
+    assert manifest["status"]["study"] == "ok"
+    row = {r["quantity"]: r for r in manifest["reports"]["study"]["rows"]}["evolution_residual"]
+    assert 0.0 <= row["exponent"] < 0.7
+    assert row["passed"]
+
+
 def test_cli_main_exit_codes(tmp_path):
     out = tmp_path / "cli"
     rc = main(
@@ -263,7 +277,6 @@ def test_cli_override_revalidates(tmp_path):
 @pytest.mark.parametrize(
     "setting",
     [
-        "recenter_threshold: -1",
         "newton_tol: 0",
         "max_newton: 0",
         "max_newton: many",
@@ -277,6 +290,15 @@ def test_solver_section_errors_exit_2_naming_the_key(tmp_path, capsys, setting):
     assert main(["foliate", "--config", str(p), "--log", "quiet"]) == 2
     key = setting.split(":")[0]
     assert f"config error: solver.{key}" in capsys.readouterr().err
+    assert not out.with_suffix(".json").exists()
+
+
+def test_recenter_threshold_is_an_unknown_solver_key(tmp_path, capsys):
+    """The re-centering fraction is a solver constant, not a config key."""
+    out = tmp_path / "run"
+    p = write_config(tmp_path, f"solver:\n  recenter_threshold: 0.1\nrun:\n  band_limit: 8\n  out: {out}\n")
+    assert main(["foliate", "--config", str(p), "--log", "quiet"]) == 2
+    assert "config error: unknown key solver.'recenter_threshold'" in capsys.readouterr().err
     assert not out.with_suffix(".json").exists()
 
 

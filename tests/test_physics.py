@@ -69,7 +69,7 @@ def test_momentum_pure_trace_kbar_nearly_cancels(schw_leaf16):
     def dkb(x):
         return c * base._dg(x)
 
-    data = InitialDataModel(base=base, time_symmetric=False, _kbar=kb, _dkbar=dkb)
+    data = InitialDataModel(base=base, _kbar=kb, _dkbar=dkb)
     rep = quasi_local_momentum(schw_leaf16.geometry, data, schw_leaf16.sigma)
     # scale: the integrand magnitude is ~2c over area ~4 pi sigma^2 / 8 pi
     assert np.abs(rep.quasi_local).max() < 1e-3 * c * schw_leaf16.sigma**2
@@ -372,7 +372,8 @@ def test_lapse_rhs_matches_metric_variation_oracle():
 def test_each_ambient_tensor_is_evaluated_once(monkeypatch):
     """A geometry evaluates g and dg once and d2g only when the potential is first read.
 
-    The momentum and lapse sources reuse the geometry's tensors and evaluate nothing.
+    The momentum and lapse sources reuse the geometry's tensors and evaluate nothing;
+    they build neither ``|k|^2`` nor the trace-free part of ``k``.
     """
     calls = Counter()
 
@@ -394,8 +395,10 @@ def test_each_ambient_tensor_is_evaluated_once(monkeypatch):
     quasi_local_momentum(geo, data, geo.sigma_scale)
     lapse_rhs(geo, data)
     assert not calls
+    assert "k_norm2" not in vars(geo) and "trace_free" not in vars(geo)
     geo.potential
     assert calls == {"metric_deriv2": 1}
+    assert "k_norm2" in vars(geo) and "trace_free" not in vars(geo)
     calls.clear()
     geo.potential
     quasi_local_momentum(geo, data, geo.sigma_scale)
