@@ -18,7 +18,8 @@ class ModelError(CmcLabError, ValueError):
 
 
 class DomainError(CmcLabError, ValueError):
-    """Evaluation point inside a model's exclusion radius."""
+    """Evaluation point inside a model's exclusion radius, or where its metric
+    is not positive definite (a leading minor of ``g`` is ``<= 0``)."""
 
 
 class SolverError(CmcLabError, RuntimeError):

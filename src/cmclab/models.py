@@ -456,6 +456,21 @@ def _index_combination(dg):
     return np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg) - dg
 
 
+def _inverse_metric(g):
+    """Cofactor inverse of a stack of symmetric 3x3 metrics.
+
+    Raises :class:`DomainError` unless every metric is positive definite:
+    its leading minors ``g_00``, ``g_00 g_11 - g_01^2`` and ``det g`` must be positive.
+    """
+    (a, b, c), (_, d, e), (_, _, f) = np.moveaxis(g, (-2, -1), (0, 1))
+    cof = np.stack([d * f - e * e, c * e - b * f, b * e - c * d, a * f - c * c, b * c - a * e, a * d - b * b])
+    det = a * cof[0] + b * cof[1] + c * cof[2]
+    bad = ~((a > 0) & (cof[5] > 0) & (det > 0))
+    if np.any(bad):
+        raise DomainError(f"metric not positive definite at {np.count_nonzero(bad)} of {bad.size} points")
+    return np.moveaxis(cof[[0, 1, 2, 1, 3, 4, 2, 4, 5]] / det, 0, -1).reshape(g.shape)
+
+
 def _inverse_metric_deriv(ginv, dg):
     """``dginv[..., m, k, l] = d_m g^kl = -g^ka d_m g_ab g^bl``, as batched 3x3 products."""
     gi = ginv[..., None, :, :]
@@ -463,32 +478,48 @@ def _inverse_metric_deriv(ginv, dg):
 
 
 def _christoffel_from(ginv, dg):
-    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, _index_combination(dg))
+    """``Gamma^k_ij = (1/2) g^kl t_lij`` as one batched ``(3, 3) @ (3, 9)`` product."""
+    t = _index_combination(dg)
+    return 0.5 * (ginv @ t.reshape(t.shape[:-2] + (9,))).reshape(t.shape)
 
 
 def christoffel(model: MetricModel, x) -> np.ndarray:
     """Christoffel symbols ``Gamma[..., k, i, j] = Gamma^k_ij``."""
-    return _christoffel_from(np.linalg.inv(model.metric(x)), model.metric_deriv(x))
+    return _christoffel_from(_inverse_metric(model.metric(x)), model.metric_deriv(x))
 
 
 def ricci(ginv, dg, d2g, gamma) -> np.ndarray:
     """Ricci tensor from ``g^-1``, ``dg``, ``d2g`` and ``Gamma`` at the same points.
 
-    ``d_m Gamma^k_ij`` is taken analytically from ``d2g``.
+    ``R_ij = d_k Gamma^k_ij - d_i Gamma^k_kj + Gamma^k_kl Gamma^l_ij - Gamma^k_il Gamma^l_kj``,
+    each sum a batched 3x3 product.  From ``2 d_m Gamma^k_ij = d_m g^kl t_lij + g^kl d_m t_lij``
+    (``t`` of :func:`_index_combination`), the two traces are
+    ``2 d_k Gamma^k_ij = d_k g^kl t_lij + A_ij + A_ji - B_ij`` and
+    ``2 d_i Gamma^k_kj = d_i g^kl t_lkj + C_ij``, with ``A_ij = g^kl d_i d_k g_lj``,
+    ``B_ij = g^kl d_k d_l g_ij`` and ``C_ij = g^kl d_i d_j g_kl``.
     """
-    dgamma = 0.5 * (
-        np.einsum("...mkl,...lij->...mkij", _inverse_metric_deriv(ginv, dg), _index_combination(dg))
-        + np.einsum("...kl,...mlij->...mkij", ginv, _index_combination(d2g))
-    )
-    term1 = np.einsum("...kkij->...ij", dgamma)
-    term2 = np.einsum("...ikkj->...ij", dgamma)
-    term3 = np.einsum("...kkl,...lij->...ij", gamma, gamma)
-    term4 = np.einsum("...kil,...lkj->...ij", gamma, gamma)
-    return term1 - term2 + term3 - term4
+    lead = ginv.shape[:-2]
+
+    def mat(a, *shape):
+        return a.reshape(lead + shape)
+
+    t = _index_combination(dg)
+    dginv = _inverse_metric_deriv(ginv, dg)
+    gi, d2 = mat(ginv, 1, 9), mat(d2g, 9, 9)
+    A = mat(gi[..., None, :, :] @ mat(d2g, 3, 9, 3), 3, 3)
+    B, C = mat(gi @ d2, 3, 3), mat(d2 @ mat(ginv, 9, 1), 3, 3)
+    u = dginv.diagonal(axis1=-3, axis2=-2).sum(axis=-1)  # d_k g^kl
+    v = gamma.diagonal(axis1=-3, axis2=-2).sum(axis=-1)  # Gamma^k_kl
+    d_gamma_k = 0.5 * (mat(u[..., None, :] @ mat(t, 3, 9), 3, 3) + A + np.swapaxes(A, -1, -2) - B)
+    d_gamma_i = 0.5 * (mat(dginv, 3, 9) @ mat(t, 9, 3) + C)
+    # swapped[..., i, k, l] = Gamma^k_il, so Gamma^k_il Gamma^l_kj is a (3, 9) @ (9, 3) product
+    swapped = np.ascontiguousarray(np.swapaxes(gamma, -3, -2))
+    quadratic = mat(v[..., None, :] @ mat(gamma, 3, 9), 3, 3) - mat(swapped, 3, 9) @ mat(swapped, 9, 3)
+    return d_gamma_k - d_gamma_i + quadratic
 
 
 def scalar_curvature(model: MetricModel, x) -> np.ndarray:
-    ginv = np.linalg.inv(model.metric(x))
+    ginv = _inverse_metric(model.metric(x))
     dg = model.metric_deriv(x)
     ric = ricci(ginv, dg, model.metric_deriv2(x), _christoffel_from(ginv, dg))
     return np.einsum("...ij,...ij->...", ginv, ric)
@@ -528,7 +559,7 @@ def momentum_density(g, ginv, dg, gamma, kb, dkb) -> np.ndarray:
 def energy_density(data: InitialDataModel, x) -> np.ndarray:
     """Constraint energy density ``2 rho = S - |kbar|^2 + (tr kbar)^2``."""
     model = data.base
-    ginv = np.linalg.inv(model.metric(x))
+    ginv = _inverse_metric(model.metric(x))
     kb = data.kbar(x)
     hbar = np.einsum("...ab,...ab->...", ginv, kb)
     ksq = np.einsum("...ac,...bd,...ab,...cd->...", ginv, ginv, kb, kb)

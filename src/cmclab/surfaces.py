@@ -28,7 +28,7 @@ from .errors import (
     SolvabilityError,
     SolverError,
 )
-from .models import MetricModel, _christoffel_from, ricci
+from .models import MetricModel, _christoffel_from, _inverse_metric, ricci
 from .sphere import ScalarField, SphericalGrid, build_grid
 
 __all__ = [
@@ -184,12 +184,13 @@ class SurfaceGeometry:
         dgbar = model.metric_deriv(x)
         self.gbar = gbar
         self.dgbar = dgbar
-        self.gbar_inv = np.linalg.inv(gbar)
+        self.gbar_inv = _inverse_metric(gbar)
         self.gamma_bar = _christoffel_from(self.gbar_inv, dgbar)
 
-        # induced metric in the (theta, phi) chart and its Euclidean analogue
-        a = np.einsum("nIa,nab,nJb->nIJ", self.tangents, gbar, self.tangents)
-        a_e = np.einsum("nIa,nJa->nIJ", self.tangents, self.tangents)
+        # induced metric t g t^T in the (theta, phi) chart and its Euclidean analogue t t^T
+        t_T = np.swapaxes(self.tangents, 1, 2)
+        a = self.tangents @ gbar @ t_T
+        a_e = self.tangents @ t_T
         self.induced = a
         det_a = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] ** 2
         det_e = a_e[:, 0, 0] * a_e[:, 1, 1] - a_e[:, 0, 1] ** 2
@@ -220,10 +221,8 @@ class SurfaceGeometry:
         self.normal = nu
         self.normal_flat = np.einsum("nij,nj->ni", gbar, nu)
 
-        # second fundamental form k_IJ = (x_IJ + Gamma(t_I, t_J)) . nu_flat
-        gamma_t = np.einsum(
-            "nkab,nIa,nJb->nIJk", self.gamma_bar, self.tangents, self.tangents
-        )
+        # second fundamental form k_IJ = (x_IJ + Gamma(t_I, t_J)) . nu_flat, Gamma(t_I, t_J)^k = t_I Gamma^k t_J^T
+        gamma_t = np.moveaxis(self.tangents[:, None] @ self.gamma_bar @ t_T[:, None], 1, -1)
         kk = np.einsum("nIJk,nk->nIJ", self.second_derivs + gamma_t, self.normal_flat)
         self.second_fund = kk
         self.mean_curvature = np.einsum("nIJ,nIJ->n", self.induced_inv, kk)
@@ -236,18 +235,16 @@ class SurfaceGeometry:
     @cached_property
     def k_norm2(self) -> np.ndarray:
         """``|k|^2 = a^IK a^JL k_IJ k_KL``."""
-        kk = self.second_fund
-        return np.einsum("nIK,nJL,nIJ,nKL->n", self.induced_inv, self.induced_inv, kk, kk)
+        return self._norm2(self.second_fund)
 
     @cached_property
     def trace_free_norm2(self) -> np.ndarray:
-        return np.einsum(
-            "nIK,nJL,nIJ,nKL->n",
-            self.induced_inv,
-            self.induced_inv,
-            self.trace_free,
-            self.trace_free,
-        )
+        return self._norm2(self.trace_free)
+
+    def _norm2(self, b: np.ndarray) -> np.ndarray:
+        """``a^IK a^JL b_IJ b_KL``: the sum of ``(a^-1 b) * (b a^-1)`` over both indices."""
+        ainv = self.induced_inv
+        return np.sum((ainv @ b) * (b @ ainv), axis=(1, 2))
 
     @cached_property
     def ric_normal(self) -> np.ndarray:
@@ -274,11 +271,6 @@ class SurfaceGeometry:
             [self.grid.synthesize_values(c, dtheta=1), self.grid.synthesize_values(c, dphi=1)],
             axis=1,
         )
-
-    def tangential_gradient(self, values: np.ndarray) -> np.ndarray:
-        """Surface gradient of a node scalar in ambient components (n, 3)."""
-        df = self.chart_derivs(values)
-        return np.einsum("nIJ,nJ,nIa->na", self.induced_inv, df, self.tangents)
 
     def integrate(self, values: np.ndarray) -> float:
         """``int values dmu`` over the ambient-induced measure."""

@@ -239,9 +239,12 @@ def test_study_evolution_gate_reads_configured_delta(tmp_path):
     manifest, status = run_experiment("study", cfg)
     assert status == 0
     assert manifest["status"]["study"] == "ok"
-    row = {r["quantity"]: r for r in manifest["reports"]["study"]["rows"]}["evolution_residual"]
+    rows = {r["quantity"]: r for r in manifest["reports"]["study"]["rows"]}
+    row = rows["evolution_residual"]
     assert 0.0 <= row["exponent"] < 0.7
     assert row["passed"]
+    # the Schwarzschild leaves are centered at the origin up to round-off: no growth fit
+    assert rows["center_growth"] == {"quantity": "center_growth", "exponent": 0.0, "fit_residual": 0.0, "passed": True}
 
 
 def test_cli_main_exit_codes(tmp_path):

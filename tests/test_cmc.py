@@ -168,6 +168,19 @@ def test_domain_error_is_a_per_leaf_failure():
     assert [f["kind"] for f in failures] == ["SolverError"]
 
 
+def test_indefinite_ambient_metric_is_a_domain_error_leaf():
+    """A leaf where the metric is not positive definite fails as a DomainError.
+
+    The large odd perturbation makes ``g = ((1 + 1/16)^4 - 40 * 8 / 8^2.5) delta``
+    negative definite at ``x = (-8, 0, 0)`` on the sigma = 8 start sphere.
+    """
+    model = perturbed_schwarzschild(1.0, 0.5, 40.0, "odd")
+    config = SolverConfig(band_limit=12, compute_eigenvalues=False)
+    failures = solve_foliation(model, [8.0], config).failures
+    assert [(f["sigma"], f["kind"]) for f in failures] == [(8.0, "DomainError")]
+    assert "not positive definite" in failures[0]["error"]
+
+
 def test_newton_debug_line_reports_krylov_iterations(caplog):
     """Every Newton step, positive mass or flat, logs its GMRES iteration count."""
     cases = [

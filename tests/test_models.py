@@ -29,7 +29,7 @@ from cmclab.models import (
 
 
 def ricci_at(model, x):
-    ginv = np.linalg.inv(model.metric(x))
+    ginv = models._inverse_metric(model.metric(x))
     dg = model.metric_deriv(x)
     return ricci(ginv, dg, model.metric_deriv2(x), _christoffel_from(ginv, dg))
 
@@ -202,6 +202,155 @@ def test_ricci_matches_fd_of_christoffel():
     err2 = np.abs(fd_ricci(5e-3) - exact).max()
     assert err1 < 1e-6
     assert err1 / err2 > 3.0  # O(h^2) convergence of the oracle
+
+
+def einsum_christoffel(ginv, dg):
+    """Reference: ``Gamma^k_ij = (1/2) g^kl (d_i g_lj + d_j g_li - d_l g_ij)`` by einsum."""
+    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, models._index_combination(dg))
+
+
+def einsum_ricci(ginv, dg, d2g, gamma):
+    """Reference: ``d_m Gamma^k_ij`` as a 5-index array, then the four einsum traces."""
+    dginv = -np.einsum("...ka,...mab,...bl->...mkl", ginv, dg, ginv)
+    d2t = (
+        np.einsum("...milj->...mlij", d2g) + np.einsum("...mjli->...mlij", d2g) - d2g
+    )
+    dgamma = 0.5 * (
+        np.einsum("...mkl,...lij->...mkij", dginv, models._index_combination(dg))
+        + np.einsum("...kl,...mlij->...mkij", ginv, d2t)
+    )
+    return (
+        np.einsum("...kkij->...ij", dgamma)
+        - np.einsum("...ikkj->...ij", dgamma)
+        + np.einsum("...kkl,...lij->...ij", gamma, gamma)
+        - np.einsum("...kil,...lkj->...ij", gamma, gamma)
+    )
+
+
+def random_metric_jets(rng, n):
+    """SPD ``g``, ``dg`` symmetric in (i, j), ``d2g`` symmetric in both index pairs."""
+    a = rng.standard_normal((n, 3, 3))
+    g = a @ np.swapaxes(a, -1, -2) + 3.0 * np.eye(3)
+    d = rng.standard_normal((n, 3, 3, 3))
+    e = rng.standard_normal((n, 3, 3, 3, 3))
+    e = e + np.swapaxes(e, -1, -2)
+    return g, d + np.swapaxes(d, -1, -2), e + np.swapaxes(e, -4, -3)
+
+
+def test_ricci_and_christoffel_match_einsum_references():
+    """The batched products agree with the einsum formulas on general symmetric jets."""
+    g, dg, d2g = random_metric_jets(np.random.default_rng(21), 50)
+    ginv = np.linalg.inv(g)
+    gamma = models._christoffel_from(ginv, dg)
+    reference = einsum_christoffel(ginv, dg)
+    assert np.abs(gamma - reference).max() <= 1e-13 * np.abs(reference).max()
+    reference = einsum_ricci(ginv, dg, d2g, gamma)
+    assert np.abs(ricci(ginv, dg, d2g, gamma) - reference).max() <= 1e-13 * np.abs(reference).max()
+    # leading axes pass through: one point, and a (2, 25) stack
+    one = ricci(ginv[7], dg[7], d2g[7], gamma[7])
+    assert np.abs(one - reference[7]).max() <= 1e-13 * np.abs(reference).max()
+    stacked = ricci(*(t.reshape((2, 25) + t.shape[1:]) for t in (ginv, dg, d2g, gamma)))
+    assert np.abs(stacked.reshape(reference.shape) - reference).max() <= 1e-13 * np.abs(reference).max()
+
+
+class AnisotropicMetric:
+    """``g(x) = g0 + g1 . x + (1/2) x . g2 . x + s sin(w . x)``, a metric that is not conformally flat.
+
+    ``g1[k]``, ``g2[k, l]`` and ``s`` are random symmetric 3x3 matrices, so
+    first and second derivatives are closed-form and carry no index symmetry
+    beyond that of a metric jet.
+    """
+
+    def __init__(self, rng):
+        def sym(t):
+            return 0.5 * (t + np.swapaxes(t, -1, -2))
+
+        a = rng.standard_normal((3, 3))
+        self.g0 = a @ a.T + 3.0 * np.eye(3)
+        self.g1 = 0.1 * sym(rng.standard_normal((3, 3, 3)))
+        g2 = sym(rng.standard_normal((3, 3, 3, 3)))
+        self.g2 = 0.02 * (g2 + np.swapaxes(g2, 0, 1))
+        self.s = 0.2 * sym(rng.standard_normal((3, 3)))
+        self.w = rng.standard_normal(3)
+
+    def metric(self, x):
+        phase = np.sin(x @ self.w)[..., None, None]
+        return (
+            self.g0
+            + np.einsum("k,kij->ij", x, self.g1)
+            + 0.5 * np.einsum("k,l,klij->ij", x, x, self.g2)
+            + phase * self.s
+        )
+
+    def metric_deriv(self, x):
+        phase = np.cos(x @ self.w)
+        return self.g1 + np.einsum("l,klij->kij", x, self.g2) + phase * self.w[:, None, None] * self.s
+
+    def metric_deriv2(self, x):
+        phase = -np.sin(x @ self.w)
+        return self.g2 + phase * np.multiply.outer(np.outer(self.w, self.w), self.s)
+
+
+def test_ricci_matches_fd_of_christoffel_on_anisotropic_metric():
+    """Ricci from analytic d2g agrees with an FD assembly of Gamma off conformal flatness."""
+    field = AnisotropicMetric(np.random.default_rng(22))
+    x = np.array([0.3, -0.2, 0.4])
+
+    def gamma_at(y):
+        return models._christoffel_from(models._inverse_metric(field.metric(y)), field.metric_deriv(y))
+
+    # closed-form derivatives: the jets agree with FD of the lower orders
+    h = 1e-5
+    steps = h * np.eye(3)
+    fd_dg = np.array([(field.metric(x + e) - field.metric(x - e)) / (2 * h) for e in steps])
+    fd_d2g = np.array([(field.metric_deriv(x + e) - field.metric_deriv(x - e)) / (2 * h) for e in steps])
+    assert np.abs(fd_dg - field.metric_deriv(x)).max() < 1e-8
+    assert np.abs(fd_d2g - field.metric_deriv2(x)).max() < 1e-8
+
+    def fd_ricci(h):
+        dgamma = np.array([(gamma_at(x + e) - gamma_at(x - e)) / (2 * h) for e in h * np.eye(3)])
+        gamma = gamma_at(x)
+        return (
+            np.einsum("kkij->ij", dgamma)
+            - np.einsum("ikkj->ij", dgamma)
+            + np.einsum("kkl,lij->ij", gamma, gamma)
+            - np.einsum("kil,lkj->ij", gamma, gamma)
+        )
+
+    ginv = models._inverse_metric(field.metric(x))
+    exact = ricci(ginv, field.metric_deriv(x), field.metric_deriv2(x), gamma_at(x))
+    err1 = np.abs(fd_ricci(1e-2) - exact).max()
+    err2 = np.abs(fd_ricci(5e-3) - exact).max()
+    assert err1 < 1e-4 * np.abs(exact).max()
+    assert err1 / err2 > 3.0  # O(h^2) convergence of the oracle
+
+
+def test_inverse_metric_matches_linalg_inv():
+    """The cofactor inverse agrees with LAPACK on SPD stacks and on model metrics."""
+    g, _, _ = random_metric_jets(np.random.default_rng(23), 200)
+    metrics = [g] + [m.metric(sample_points(np.random.default_rng(24), n=200, rmin=12.0)) for m in ALL_MODELS]
+    for stack in metrics:
+        reference = np.linalg.inv(stack)
+        inv = models._inverse_metric(stack)
+        assert np.abs(inv - reference).max() <= 1e-14 * np.abs(reference).max()
+        assert np.array_equal(inv, np.swapaxes(inv, -1, -2))
+    assert np.array_equal(models._inverse_metric(g[0]), models._inverse_metric(g)[0])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        # each case fails one leading minor only: the other two are positive
+        np.diag([-1.0, -1.0, 1.0]),  # g_00 < 0
+        np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, -1.0]]),  # g_00 g_11 - g_01^2 < 0
+        np.diag([1.0, 1.0, 0.0]),  # det g = 0
+    ],
+    ids=["g00", "minor2", "det"],
+)
+def test_inverse_metric_rejects_indefinite_metrics(g):
+    stack = np.stack([np.eye(3), g, 2.0 * np.eye(3)])
+    with pytest.raises(DomainError, match="1 of 3 points"):
+        models._inverse_metric(stack)
 
 
 def test_inverse_metric_deriv_matches_fd_and_three_operand_contraction():
