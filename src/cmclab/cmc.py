@@ -272,11 +272,15 @@ def solve_foliation(model: MetricModel, sigmas, config: SolverConfig | None = No
 
 
 def _check_nested(leaves) -> bool:
-    """Pairwise nestedness: rho grows pointwise about a common center."""
+    """Pairwise nestedness: ``|p - c| < rho_out((p - c) / |p - c|)`` at every inner node ``p``.
+
+    ``c`` is the outer leaf's center, about which its radial graph is
+    star-shaped by construction, so no pair of leaves raises.
+    """
     for inner, outer in zip(leaves, leaves[1:]):
-        common = inner.surface.center
-        outer_about_inner = resample(outer.surface, common, inner.surface.grid)
-        if np.any(outer_about_inner.radius_values <= inner.surface.radius_values):
+        v = inner.surface.positions - outer.surface.center
+        r = np.linalg.norm(v, axis=1)
+        if np.any(r >= outer.surface.grid.evaluate(outer.surface.rho_coeffs, v / r[:, None])):
             return False
     return True
 

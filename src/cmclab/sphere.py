@@ -27,7 +27,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -84,6 +84,15 @@ def _legendre_tables(band_limit: int, cos_theta: np.ndarray, derivatives: bool =
             dprev = dQ[m, l - 1] if l - 1 >= m else 0.0
             d2Q[m, l] = (-l * s * Q[m, l] + l * x * dQ[m, l] - e * dprev) / s - (x / s) * dQ[m, l]
     return Q, dQ, d2Q
+
+
+def _powers(w: np.ndarray, n: int) -> np.ndarray:
+    """``[Re w^k; Im w^k]`` for ``k = 0..n`` by cumulative product, shape ``(2(n+1), p)``."""
+    w_k = np.empty((n + 1, w.size), dtype=complex)
+    w_k[0] = 1.0
+    for k in range(1, n + 1):
+        np.multiply(w_k[k - 1], w, out=w_k[k])
+    return np.concatenate([w_k.real, w_k.imag])
 
 
 class SphericalGrid:
@@ -241,28 +250,42 @@ class SphericalGrid:
         Csin = np.einsum("mlj,jm->lm", T, B) * self._m_scale
         return self._flatten(Ccos, Csin)
 
-    def evaluate(
-        self,
-        coeffs: np.ndarray,
-        theta: np.ndarray,
-        phi: np.ndarray,
-        cos_theta: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Evaluate a coefficient vector at arbitrary points (resampling).
+    @cached_property
+    def _theta_fourier(self) -> np.ndarray:
+        """theta-Fourier table ``T`` of every ``Q_{lm}``, shape ``(m, 2(L+1), l)``.
 
-        Passing ``cos_theta`` directly avoids the precision loss of the
-        ``cos(arccos(x))`` round trip, which high degrees amplify.
+        ``Q_{lm}(theta) = sum_{k<=L} T[m, k, l] cos(k theta) + T[m, L+1+k, l] sin(k theta)``
+        (double Fourier sphere), from samples at ``L + 2`` equispaced colatitudes
+        in ``[0, pi]`` mirrored by ``Q_{lm}(2 pi - theta) = (-1)^m Q_{lm}(theta)``.
         """
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        phi = np.atleast_1d(np.asarray(phi, dtype=float))
-        x = np.cos(theta) if cos_theta is None else np.atleast_1d(np.asarray(cos_theta, dtype=float))
-        Q, _, _ = _legendre_tables(self.band_limit, x, derivatives=False)
+        L = self.band_limit
+        Q, _, _ = _legendre_tables(L, np.cos(np.pi * np.arange(L + 2) / (L + 1)), derivatives=False)
+        Q = Q.transpose(0, 2, 1)  # [m, j, l]
+        parity = (-1.0) ** np.arange(L + 1)[:, None, None]
+        circle = np.concatenate([Q, parity * Q[:, L:0:-1]], axis=1)
+        X = np.fft.rfft(circle, axis=1)[:, : L + 1] / (L + 1)
+        X[:, 0] *= 0.5
+        return np.concatenate([X.real, -X.imag], axis=1)
+
+    def evaluate(self, coeffs: np.ndarray, directions: np.ndarray) -> np.ndarray:
+        """Evaluate a coefficient vector at unit direction vectors ``(p, 3)`` (resampling).
+
+        No Legendre table at the points: the cached :attr:`_theta_fourier`
+        table gives each order's theta-Fourier series, whose ``cos/sin(k theta)``
+        and ``e^{i m phi}`` are powers of ``z + i sqrt(x^2 + y^2)`` and
+        ``(x + i y) / sqrt(x^2 + y^2)`` (1 at the poles); one
+        ``(2(L+1), 2(L+1)) @ (2(L+1), p)`` product sums them.  O(L^3 + p L^2).
+        """
+        L = self.band_limit
+        x, y, z = np.atleast_2d(np.asarray(directions, dtype=float)).T
         Ccos = coeffs[self._idx_cos] * self._mask_lm * self._m_scale
         Csin = coeffs[self._idx_sin] * self._sin_valid * self._m_scale
-        A = np.einsum("mlp,lm->pm", Q, Ccos)
-        B = np.einsum("mlp,lm->pm", Q, Csin)
-        m = np.arange(self.band_limit + 1)
-        return np.sum(A * np.cos(np.outer(phi, m)) + B * np.sin(np.outer(phi, m)), axis=1)
+        F = self._theta_fourier @ np.stack([Ccos.T, Csin.T], axis=2)  # (m, 2(L+1), cos/sin)
+        s = np.sqrt(x * x + y * y)  # sin(theta)
+        u = np.divide(x + 1j * y, s, out=np.ones(s.size, dtype=complex), where=s > 0)
+        # rows [A_0..A_L, B_0..B_L]: value = sum_m A_m cos(m phi) + B_m sin(m phi)
+        AB = F.transpose(2, 0, 1).reshape(2 * L + 2, 2 * L + 2) @ _powers(z + 1j * s, L)
+        return np.sum(AB * _powers(u, L), axis=0)
 
     def integrate_values(self, values: np.ndarray) -> float:
         """Quadrature of node values against the round measure."""

@@ -602,12 +602,8 @@ def resample(
     t = np.full(grid.n_nodes, rho_scale)
     for _ in range(_RESAMPLE_MAX_ITER):
         q = d[None, :] + t[:, None] * N
-        qn = np.linalg.norm(q, axis=1)
-        ct = np.clip(q[:, 2] / qn, -1.0, 1.0)
-        phi = np.mod(np.arctan2(q[:, 1], q[:, 0]), 2.0 * np.pi)
-        rho_target = surface.grid.evaluate(
-            surface.rho_coeffs, np.arccos(ct), phi, cos_theta=ct
-        )
+        q /= np.linalg.norm(q, axis=1)[:, None]
+        rho_target = surface.grid.evaluate(surface.rho_coeffs, q)
         # positive root of |d + t N| = rho_target
         dN = N @ d
         disc = dN**2 + rho_target**2 - d @ d

@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import re
+import types
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cmclab.models import euclidean, perturbed_schwarzschild, schwarzschild, tra
 from cmclab.sphere import build_grid
 from cmclab.cmc import (
     SolverConfig,
+    _check_nested,
     solve_cmc,
     solve_foliation,
     solve_radial_lapse,
@@ -201,6 +203,28 @@ def test_foliation_nested_on_perturbed_model():
     model = perturbed_schwarzschild(1.0, 0.5, 0.1, "odd")
     result = solve_foliation(model, [10.0, 14.0], SolverConfig(band_limit=12, compute_eigenvalues=False))
     assert result.nested is True
+
+
+@pytest.mark.parametrize(
+    "outer_center, outer_radius, nested",
+    [
+        ((0.0, 0.0, 0.0), 1.5, True),
+        ((0.3, -0.2, 0.1), 1.5, True),
+        ((0.6, 0.0, 0.0), 1.5, False),
+        ((10.0, 0.0, 0.0), 2.0, False),
+    ],
+    ids=["concentric", "offset", "crossing", "disjoint"],
+)
+def test_check_nested_pairs(outer_center, outer_radius, nested):
+    """Disjoint leaves are not nested, and the check does not raise on them."""
+    grid = build_grid(12)
+    c = np.zeros(grid.n_coeffs)
+    c[grid.coeff_index(2, 1)] = 0.05
+    inner = SurfaceEmbedding.round_sphere(grid, 1.0)
+    inner = inner.with_radius(inner.rho_coeffs + c)
+    outer = SurfaceEmbedding.round_sphere(grid, outer_radius, outer_center)
+    leaves = [types.SimpleNamespace(surface=inner), types.SimpleNamespace(surface=outer)]
+    assert _check_nested(leaves) is nested
 
 
 def test_foliation_requires_increasing_schedule():

@@ -191,8 +191,37 @@ def test_evaluate_matches_grid_synthesis():
     rng = np.random.default_rng(13)
     c = rng.standard_normal(grid.n_coeffs)
     f = grid.synthesize_values(c)
-    vals = grid.evaluate(c, grid.node_theta, grid.node_phi)
+    vals = grid.evaluate(c, grid.directions)
     assert np.abs(vals - f).max() < 1e-11 * np.abs(f).max()
+
+
+def legendre_table_evaluate(grid, coeffs, directions):
+    """Reference: a Legendre table at the points times cos/sin(m phi) from arctan2."""
+    ct = np.clip(directions[:, 2], -1.0, 1.0)
+    phi = np.arctan2(directions[:, 1], directions[:, 0])
+    Q, _, _ = _legendre_tables(grid.band_limit, ct, derivatives=False)  # [m, l, p]
+    l, m = grid.coeff_l, grid.coeff_m
+    angle = np.abs(m)[:, None] * phi
+    trig = np.where(m[:, None] > 0, np.sqrt(2.0) * np.cos(angle), np.sqrt(2.0) * np.sin(angle))
+    trig[m == 0] = 1.0
+    return coeffs @ (Q[np.abs(m), l] * trig)
+
+
+@pytest.mark.parametrize("band_limit", [8, 16, 34, 64])
+def test_evaluate_matches_legendre_table_reference(band_limit):
+    """Random directions, the exact poles and the phi = 0 seam, to 1e-13 relative."""
+    grid = build_grid(band_limit)
+    rng = np.random.default_rng(band_limit)
+    c = rng.standard_normal(grid.n_coeffs)
+    random = rng.standard_normal((300, 3))
+    random /= np.linalg.norm(random, axis=1)[:, None]
+    theta = np.linspace(0.05, 3.1, 9)
+    seam = np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=1)
+    d = np.vstack([random, [[0, 0, 1.0], [0, 0, -1.0]], seam])
+    ref = legendre_table_evaluate(grid, c, d)
+    assert np.abs(grid.evaluate(c, d) - ref).max() <= 1e-13 * np.abs(ref).max()
+    f = grid.synthesize_values(c)
+    assert np.abs(grid.evaluate(c, grid.directions) - f).max() <= 1e-13 * np.abs(f).max()
 
 
 def test_scalar_field_validation():

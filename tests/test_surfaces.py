@@ -519,6 +519,30 @@ def test_resample_preserves_surface(grid16):
     assert np.abs(back.radius_values - s.radius_values).max() < 1e-9
 
 
+@pytest.mark.parametrize("near_pole", [False, True], ids=["oblique", "near-pole"])
+def test_resample_round_trip_at_high_band_limit(near_pole):
+    """L = 48, a shift of 0.05 sigma; one center sends a target ray within 1e-8 rad of the pole."""
+    grid = build_grid(48)
+    sigma = 5.0
+    N = grid.directions
+    rho = sigma * (1 + 0.06 * N[:, 0] - 0.03 * N[:, 2] + 0.02 * N[:, 0] * N[:, 1])
+    s = SurfaceEmbedding.from_radial_values(grid, rho)
+    if near_pole:
+        # the ray from the new center along the first node (phi = 0) meets the
+        # surface 5e-9 sigma off the north-pole point of the old parametrization
+        top = s.grid.evaluate(s.rho_coeffs, np.array([[0.0, 0.0, 1.0]]))[0]
+        shift = top * (np.array([0.0, 0.0, 1.0]) - N[0] / N[0, 2]) + [0.0, 5e-9 * sigma, 0.0]
+    else:
+        shift = 0.05 * sigma * np.array([0.6, -0.48, 0.64])
+    assert np.linalg.norm(shift) == pytest.approx(0.05 * sigma, rel=0.1)
+    moved = resample(s, shift)
+    if near_pole:
+        q = moved.positions - s.center
+        assert np.min(np.arctan2(np.hypot(q[:, 0], q[:, 1]), np.abs(q[:, 2]))) < 1e-8
+    back = resample(moved, s.center)
+    assert np.abs(back.radius_values - s.radius_values).max() < 1e-9
+
+
 def test_serialization_bit_exact_round_trip(grid16):
     rng = np.random.default_rng(10)
     c = np.zeros(grid16.n_coeffs)
