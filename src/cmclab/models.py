@@ -22,7 +22,6 @@ Array conventions (vectorized over leading axes):
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -529,31 +528,20 @@ def momentum_density(g, ginv, dg, gamma, kb, dkb) -> np.ndarray:
     """Constraint momentum density ``J_i = (div(tr(kbar) g - kbar))_i``.
 
     Takes the metric, its inverse, ``dg`` and ``Gamma`` with ``kbar`` and
-    ``dkbar``, all at the same points.
+    ``dkbar``, all at the same points.  With ``pi = hbar g - kbar``,
+    ``J_i = g^jk d_j pi_ki - (g^jk Gamma^l_jk) pi_li - (g^-1 pi)^j_l Gamma^l_ji``,
+    each sum one two-operand contraction.  No ``d pi`` array is built:
+    ``g^jk d_j pi_ki = d_i hbar + g^jk (hbar d_j g_ki - d_j kbar_ki)`` and
+    ``d_m hbar = g^ab d_m kbar_ab - (g^-1 kbar g^-1)^ab d_m g_ab``.
     """
     hbar = np.einsum("...ab,...ab->...", ginv, kb)
-    dhbar = np.einsum("...mab,...ab->...m", _inverse_metric_deriv(ginv, dg), kb) + np.einsum(
-        "...ab,...mab->...m", ginv, dkb
-    )
+    dhbar = np.einsum("...mab,...ab->...m", dkb, ginv) - np.einsum("...mab,...ab->...m", dg, ginv @ kb @ ginv)
+    div = np.einsum("...jk,...jki->...i", ginv, hbar[..., None, None, None] * dg - dkb)
     pi = hbar[..., None, None] * g - kb
-    dpi = (
-        dhbar[..., :, None, None] * g[..., None, :, :]
-        + hbar[..., None, None, None] * dg
-        - dkb
-    )
-    # g^jk Gamma^l_jk pi_li: contract g^-1 into Gamma first (v^l = g^jk Gamma^l_jk)
-    v = np.einsum("...jk,...ljk->...l", ginv, gamma)
-    # g^jk Gamma^l_ji pi_kl: its 27 products (g^jk Gamma^l_ji) pi_kl added one by one
-    # in (j, k, l) order, the order of numpy's unoptimised three-operand einsum; this
-    # gives the same bits at about a third of the cost
-    gamma_pi = np.zeros(pi.shape[:-1])
-    for j, k, l in itertools.product(range(3), repeat=3):
-        gamma_pi += (ginv[..., j, k, None] * gamma[..., l, j, :]) * pi[..., k, l, None]
-    return (
-        np.einsum("...jk,...jki->...i", ginv, dpi)
-        - np.einsum("...l,...li->...i", v, pi)
-        - gamma_pi
-    )
+    v = np.einsum("...ljk,...jk->...l", gamma, ginv)  # v^l = g^jk Gamma^l_jk
+    # (g^-1 pi)^j_l Gamma^l_ji = (pi g^-1)_lj Gamma^l_ji
+    connection = np.einsum("...l,...li->...i", v, pi) + np.einsum("...lj,...lji->...i", pi @ ginv, gamma)
+    return dhbar + div - connection
 
 
 def energy_density(data: InitialDataModel, x) -> np.ndarray:

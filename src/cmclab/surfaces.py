@@ -144,10 +144,10 @@ class SurfaceGeometry:
     """First/second fundamental forms and derived fields of one embedding.
 
     Instances are computed once by :func:`compute_geometry` and treated as
-    immutable; ``|k|^2``, the trace-free part of ``k``, ``Ric(nu, nu)``,
-    the stability potential, the l <= 1 Galerkin block and the operator's
-    exact kernel are computed on first use and cached.  No solve reads the
-    dense (test-oracle) matrices.
+    immutable; ``second_fund`` (``k``), ``mean_curvature``, ``|k|^2``, the
+    trace-free part of ``k``, ``Ric(nu, nu)``, the stability potential, the
+    l <= 1 Galerkin block and the operator's exact kernel are computed on
+    first use and cached.  No solve reads the dense (test-oracle) matrices.
     """
 
     def __init__(self, surface: SurfaceEmbedding, model: MetricModel):
@@ -156,29 +156,15 @@ class SurfaceGeometry:
         self.model = model
         self.grid = grid
         c = surface.rho_coeffs
-        rho = grid.synthesize_values(c)
-        rho_t = grid.synthesize_values(c, dtheta=1)
-        rho_p = grid.synthesize_values(c, dphi=1)
-        rho_tt = grid.synthesize_values(c, dtheta=2)
-        rho_tp = grid.synthesize_values(c, dtheta=1, dphi=1)
-        rho_pp = grid.synthesize_values(c, dphi=2)
+        rho = surface.radius_values
+        self._rho_t = rho_t = grid.synthesize_values(c, dtheta=1)
+        self._rho_p = rho_p = grid.synthesize_values(c, dphi=1)
 
         N = grid.directions
-        Nt, Np = grid.d_dir_dtheta, grid.d_dir_dphi
-        Ntt, Ntp, Npp = grid.d2_dir_dtheta2, grid.d2_dir_dthetadphi, grid.d2_dir_dphi2
-
-        x = surface.center + rho[:, None] * N
-        t_th = rho_t[:, None] * N + rho[:, None] * Nt
-        t_ph = rho_p[:, None] * N + rho[:, None] * Np
-        x_tt = rho_tt[:, None] * N + 2 * rho_t[:, None] * Nt + rho[:, None] * Ntt
-        x_tp = rho_tp[:, None] * N + rho_t[:, None] * Np + rho_p[:, None] * Nt + rho[:, None] * Ntp
-        x_pp = rho_pp[:, None] * N + 2 * rho_p[:, None] * Np + rho[:, None] * Npp
-
-        self.positions = x
+        self.positions = x = surface.positions
+        t_th = rho_t[:, None] * N + rho[:, None] * grid.d_dir_dtheta
+        t_ph = rho_p[:, None] * N + rho[:, None] * grid.d_dir_dphi
         self.tangents = np.stack([t_th, t_ph], axis=1)  # (n, 2, 3)
-        self.second_derivs = np.stack(
-            [np.stack([x_tt, x_tp], axis=1), np.stack([x_tp, x_pp], axis=1)], axis=1
-        )  # (n, 2, 2, 3)
 
         gbar = model.metric(x)
         dgbar = model.metric_deriv(x)
@@ -221,11 +207,33 @@ class SurfaceGeometry:
         self.normal = nu
         self.normal_flat = np.einsum("nij,nj->ni", gbar, nu)
 
-        # second fundamental form k_IJ = (x_IJ + Gamma(t_I, t_J)) . nu_flat, Gamma(t_I, t_J)^k = t_I Gamma^k t_J^T
-        gamma_t = np.moveaxis(self.tangents[:, None] @ self.gamma_bar @ t_T[:, None], 1, -1)
-        kk = np.einsum("nIJk,nk->nIJ", self.second_derivs + gamma_t, self.normal_flat)
-        self.second_fund = kk
-        self.mean_curvature = np.einsum("nIJ,nIJ->n", self.induced_inv, kk)
+    @cached_property
+    def second_derivs(self) -> np.ndarray:
+        """Chart second derivatives ``x_IJ`` of the positions, shape (n, 2, 2, 3)."""
+        grid, c = self.grid, self.surface.rho_coeffs
+        rho, rho_t, rho_p = self.surface.radius_values, self._rho_t, self._rho_p
+        rho_tt = grid.synthesize_values(c, dtheta=2)
+        rho_tp = grid.synthesize_values(c, dtheta=1, dphi=1)
+        rho_pp = grid.synthesize_values(c, dphi=2)
+        N = grid.directions
+        Nt, Np = grid.d_dir_dtheta, grid.d_dir_dphi
+        Ntt, Ntp, Npp = grid.d2_dir_dtheta2, grid.d2_dir_dthetadphi, grid.d2_dir_dphi2
+        x_tt = rho_tt[:, None] * N + 2 * rho_t[:, None] * Nt + rho[:, None] * Ntt
+        x_tp = rho_tp[:, None] * N + rho_t[:, None] * Np + rho_p[:, None] * Nt + rho[:, None] * Ntp
+        x_pp = rho_pp[:, None] * N + 2 * rho_p[:, None] * Np + rho[:, None] * Npp
+        return np.stack([np.stack([x_tt, x_tp], axis=1), np.stack([x_tp, x_pp], axis=1)], axis=1)
+
+    @cached_property
+    def second_fund(self) -> np.ndarray:
+        """``k_IJ = (x_IJ + Gamma(t_I, t_J)) . nu_flat`` with ``Gamma(t_I, t_J)^k = t_I Gamma^k t_J^T``."""
+        t = self.tangents
+        gamma_t = np.moveaxis(t[:, None] @ self.gamma_bar @ np.swapaxes(t, 1, 2)[:, None], 1, -1)
+        return np.einsum("nIJk,nk->nIJ", self.second_derivs + gamma_t, self.normal_flat)
+
+    @cached_property
+    def mean_curvature(self) -> np.ndarray:
+        """``H = a^IJ k_IJ``."""
+        return np.einsum("nIJ,nIJ->n", self.induced_inv, self.second_fund)
 
     @cached_property
     def trace_free(self) -> np.ndarray:

@@ -258,7 +258,7 @@ class AnisotropicMetric:
 
     ``g1[k]``, ``g2[k, l]`` and ``s`` are random symmetric 3x3 matrices, so
     first and second derivatives are closed-form and carry no index symmetry
-    beyond that of a metric jet.
+    beyond that of a metric jet.  Points may be stacked along leading axes.
     """
 
     def __init__(self, rng):
@@ -277,18 +277,42 @@ class AnisotropicMetric:
         phase = np.sin(x @ self.w)[..., None, None]
         return (
             self.g0
-            + np.einsum("k,kij->ij", x, self.g1)
-            + 0.5 * np.einsum("k,l,klij->ij", x, x, self.g2)
+            + np.einsum("...k,kij->...ij", x, self.g1)
+            + 0.5 * np.einsum("...k,...l,klij->...ij", x, x, self.g2)
             + phase * self.s
         )
 
     def metric_deriv(self, x):
-        phase = np.cos(x @ self.w)
-        return self.g1 + np.einsum("l,klij->kij", x, self.g2) + phase * self.w[:, None, None] * self.s
+        phase = np.cos(x @ self.w)[..., None, None, None]
+        return self.g1 + np.einsum("...l,klij->...kij", x, self.g2) + phase * self.w[:, None, None] * self.s
 
     def metric_deriv2(self, x):
-        phase = -np.sin(x @ self.w)
+        phase = -np.sin(x @ self.w)[..., None, None, None, None]
         return self.g2 + phase * np.multiply.outer(np.outer(self.w, self.w), self.s)
+
+
+class AnisotropicData:
+    """``kbar(x) = k0 + k1 . x + c cos(u . x)`` on an :class:`AnisotropicMetric`.
+
+    ``k0``, ``k1[m]`` and ``c`` are random symmetric 3x3 matrices drawn after
+    the metric's, so ``kbar`` shares no principal frame with ``g``.
+    """
+
+    def __init__(self, rng):
+        def sym(t):
+            return 0.5 * (t + np.swapaxes(t, -1, -2))
+
+        self.base = AnisotropicMetric(rng)
+        self.k0 = sym(rng.standard_normal((3, 3)))
+        self.k1 = 0.3 * sym(rng.standard_normal((3, 3, 3)))
+        self.c = 0.5 * sym(rng.standard_normal((3, 3)))
+        self.u = rng.standard_normal(3)
+
+    def kbar(self, x):
+        return self.k0 + np.einsum("...m,mij->...ij", x, self.k1) + np.cos(x @ self.u)[..., None, None] * self.c
+
+    def kbar_deriv(self, x):
+        return self.k1 - np.sin(x @ self.u)[..., None, None, None] * self.u[:, None, None] * self.c
 
 
 def test_ricci_matches_fd_of_christoffel_on_anisotropic_metric():
@@ -439,11 +463,9 @@ def test_synthetic_kbar_derivative_matches_fd():
     assert np.abs(data.kbar_deriv(x) - fd).max() < 1e-8
 
 
-def test_momentum_density_matches_fd_divergence():
-    """J from analytic derivatives agrees with an independent FD assembly."""
-    data = synthetic_data(schwarzschild(1.0), delta=1.0, amplitude=1.0)
+def assert_momentum_density_matches_fd_divergence(data, x, h):
+    """J from analytic derivatives agrees with an FD assembly at steps ``h`` and ``h/2``."""
     model = data.base
-    x = np.array([[10.0, 2.0, -1.0], [8.0, -5.0, 3.0]])
 
     def pi_at(y):
         g = model.metric(y)
@@ -470,10 +492,25 @@ def test_momentum_density_matches_fd_divergence():
         )
 
     exact = momentum_density_at(data, x)
-    err1 = np.abs(fd_div(1e-2) - exact).max()
-    err2 = np.abs(fd_div(5e-3) - exact).max()
+    err1 = np.abs(fd_div(h) - exact).max()
+    err2 = np.abs(fd_div(h / 2) - exact).max()
     assert err1 < 1e-7
     assert err1 / err2 > 3.0
+
+
+def test_momentum_density_matches_fd_divergence():
+    """J from analytic derivatives agrees with an independent FD assembly."""
+    data = synthetic_data(schwarzschild(1.0), delta=1.0, amplitude=1.0)
+    assert_momentum_density_matches_fd_divergence(data, np.array([[10.0, 2.0, -1.0], [8.0, -5.0, 3.0]]), 1e-2)
+
+
+def test_momentum_density_matches_fd_divergence_on_anisotropic_metric():
+    """The same oracle off conformal flatness, where index-order slips against ``g^-1`` do not cancel.
+
+    The field varies on unit scales, so the steps are smaller than at ``|x| ~ 10``.
+    """
+    data = AnisotropicData(np.random.default_rng(25))
+    assert_momentum_density_matches_fd_divergence(data, np.array([[0.3, -0.2, 0.4], [-0.5, 0.1, 0.2]]), 1e-4)
 
 
 def test_interpolated_metric_evaluates_each_end_once(monkeypatch):

@@ -28,7 +28,7 @@ from cmclab.physics import (
     quasi_local_momentum,
     solve_lapse,
 )
-from cmclab.sphere import ScalarField, build_grid
+from cmclab.sphere import ScalarField, SphericalGrid, build_grid
 from cmclab.surfaces import (
     SurfaceEmbedding,
     SurfaceGeometry,
@@ -373,7 +373,8 @@ def test_each_ambient_tensor_is_evaluated_once(monkeypatch):
     """A geometry evaluates g and dg once and d2g only when the potential is first read.
 
     The momentum and lapse sources reuse the geometry's tensors and evaluate nothing;
-    they build neither ``|k|^2`` nor the trace-free part of ``k``.
+    they build neither ``|k|^2`` nor the trace-free part of ``k``.  The momentum
+    flux builds no second fundamental form either; the lapse source does.
     """
     calls = Counter()
 
@@ -393,7 +394,9 @@ def test_each_ambient_tensor_is_evaluated_once(monkeypatch):
     assert calls == {"metric": 1, "metric_deriv": 1}
     calls.clear()
     quasi_local_momentum(geo, data, geo.sigma_scale)
+    assert not {"second_derivs", "second_fund", "mean_curvature"} & vars(geo).keys()
     lapse_rhs(geo, data)
+    assert "second_fund" in vars(geo)
     assert not calls
     assert "k_norm2" not in vars(geo) and "trace_free" not in vars(geo)
     geo.potential
@@ -407,21 +410,33 @@ def test_each_ambient_tensor_is_evaluated_once(monkeypatch):
 
 
 def test_artificial_flow_builds_no_ricci_tensor(monkeypatch):
-    """Flow velocities integrate momenta on round spheres; none reads the stability potential."""
-    from cmclab import surfaces
+    """Flow velocities integrate momenta on round spheres; none reads the stability potential.
 
-    calls = []
-    original = surfaces.ricci
+    Nor the second fundamental form: a velocity synthesizes ``rho`` once for the
+    embedding and ``rho_theta``, ``rho_phi`` for the tangents, three syntheses in all.
+    """
+    from cmclab import physics, surfaces
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    calls = Counter()
 
-    monkeypatch.setattr(surfaces, "ricci", counting)
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(surfaces, "ricci")
+    counting(physics, "quasi_local_momentum")
+    counting(SphericalGrid, "synthesize_values")
     model = perturbed_schwarzschild(M, 0.5, 0.1, "odd")
     flow = artificial_flow_integrate(model, 32.0, tau_steps=1, band_limit=8)
     assert np.all(np.isfinite(flow.centers))
-    assert calls == []
+    assert calls["ricci"] == 0
+    assert calls["quasi_local_momentum"] == 4  # the four stages of one RK4 step
+    assert calls["synthesize_values"] == 3 * calls["quasi_local_momentum"]
 
 
 @pytest.mark.parametrize("ambient", ["odd", "flat"])
