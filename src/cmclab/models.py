@@ -470,12 +470,6 @@ def _inverse_metric(g):
     return np.moveaxis(cof[[0, 1, 2, 1, 3, 4, 2, 4, 5]] / det, 0, -1).reshape(g.shape)
 
 
-def _inverse_metric_deriv(ginv, dg):
-    """``dginv[..., m, k, l] = d_m g^kl = -g^ka d_m g_ab g^bl``, as batched 3x3 products."""
-    gi = ginv[..., None, :, :]
-    return -(gi @ dg @ gi)
-
-
 def _christoffel_from(ginv, dg):
     """``Gamma^k_ij = (1/2) g^kl t_lij`` as one batched ``(3, 3) @ (3, 9)`` product."""
     t = _index_combination(dg)
@@ -492,29 +486,28 @@ def ricci(ginv, dg, d2g, gamma) -> np.ndarray:
 
     ``R_ij = d_k Gamma^k_ij - d_i Gamma^k_kj + Gamma^k_kl Gamma^l_ij - Gamma^k_il Gamma^l_kj``,
     each sum a batched 3x3 product.  From ``2 d_m Gamma^k_ij = d_m g^kl t_lij + g^kl d_m t_lij``
-    (``t`` of :func:`_index_combination`), the two traces are
-    ``2 d_k Gamma^k_ij = d_k g^kl t_lij + A_ij + A_ji - B_ij`` and
-    ``2 d_i Gamma^k_kj = d_i g^kl t_lkj + C_ij``, with ``A_ij = g^kl d_i d_k g_lj``,
-    ``B_ij = g^kl d_k d_l g_ij`` and ``C_ij = g^kl d_i d_j g_kl``.
+    (``t`` of :func:`_index_combination`) and ``d_m g^kl = -g^ka d_m g_ab g^bl``, the two traces are
+    ``2 d_k Gamma^k_ij = -2 e_b Gamma^b_ij + A_ij + A_ji - B_ij`` and
+    ``2 d_i Gamma^k_kj = -2 d_i g_ab (g^-1 Gamma)^ab_j + C_ij``, with ``e_b = g^ka d_k g_ab``,
+    ``(g^-1 Gamma)^ab_j = g^ak Gamma^b_kj``, ``A_ij = g^kl d_i d_k g_lj``,
+    ``B_ij = g^kl d_k d_l g_ij`` and ``C_ij = g^kl d_i d_j g_kl``; neither ``d g^-1`` nor
+    ``t`` is built.
     """
     lead = ginv.shape[:-2]
 
     def mat(a, *shape):
         return a.reshape(lead + shape)
 
-    t = _index_combination(dg)
-    dginv = _inverse_metric_deriv(ginv, dg)
     gi, d2 = mat(ginv, 1, 9), mat(d2g, 9, 9)
     A = mat(gi[..., None, :, :] @ mat(d2g, 3, 9, 3), 3, 3)
     B, C = mat(gi @ d2, 3, 3), mat(d2 @ mat(ginv, 9, 1), 3, 3)
-    u = dginv.diagonal(axis1=-3, axis2=-2).sum(axis=-1)  # d_k g^kl
-    v = gamma.diagonal(axis1=-3, axis2=-2).sum(axis=-1)  # Gamma^k_kl
-    d_gamma_k = 0.5 * (mat(u[..., None, :] @ mat(t, 3, 9), 3, 3) + A + np.swapaxes(A, -1, -2) - B)
-    d_gamma_i = 0.5 * (mat(dginv, 3, 9) @ mat(t, 9, 3) + C)
     # swapped[..., i, k, l] = Gamma^k_il, so Gamma^k_il Gamma^l_kj is a (3, 9) @ (9, 3) product
     swapped = np.ascontiguousarray(np.swapaxes(gamma, -3, -2))
-    quadratic = mat(v[..., None, :] @ mat(gamma, 3, 9), 3, 3) - mat(swapped, 3, 9) @ mat(swapped, 9, 3)
-    return d_gamma_k - d_gamma_i + quadratic
+    v = np.einsum("...kkl->...l", gamma)[..., None, :]  # Gamma^k_kl
+    e = gi @ mat(dg, 9, 3)  # e_b = g^ka d_k g_ab
+    ginv_gamma = mat(ginv @ mat(swapped, 3, 9), 9, 3)  # (g^-1 Gamma)^ab_j
+    linear = mat((v - e) @ mat(gamma, 3, 9), 3, 3) + mat(dg, 3, 9) @ ginv_gamma
+    return 0.5 * (A + np.swapaxes(A, -1, -2) - B - C) + linear - mat(swapped, 3, 9) @ mat(swapped, 9, 3)
 
 
 def scalar_curvature(model: MetricModel, x) -> np.ndarray:

@@ -45,10 +45,15 @@ __all__ = [
 #: fraction of spectral energy allowed in the top two degrees before a
 #: resolution warning is emitted
 _TAIL_ENERGY_LIMIT = 0.01
-#: relative tolerance of the preconditioned Krylov solve; the residual it
-#: bounds is the preconditioned one, whose round-off floor does not grow
-#: with the near-kernel conditioning of the l = 1 modes
+#: relative tolerance of the preconditioned Krylov solve.  The residual it
+#: bounds is the explicit preconditioned one, ``|P(b - A x)| / |P b|``, whose
+#: round-off floor grows with the near-kernel conditioning of the l = 1 modes:
+#: up to ``0.72 eps cond(block)`` measured for the deflated 4x4 block the
+#: preconditioner inverts (``cond ~ sigma / 3m`` with positive mass).  So the
+#: tolerance is ``max(_KRYLOV_RTOL, _KRYLOV_FLOOR * eps * cond(block))``, which
+#: stays at ``_KRYLOV_RTOL`` below ``sigma ~ 340 m``
 _KRYLOV_RTOL = 1e-13
+_KRYLOV_FLOOR = 4.0
 #: GMRES restart length and cycle limit (the preconditioned iteration
 #: needs about 10 steps, independent of the band limit)
 _KRYLOV_RESTART = 40
@@ -318,8 +323,14 @@ class SurfaceGeometry:
 
     @cached_property
     def _low_block(self) -> np.ndarray:
-        """The symmetrised 4x4 Galerkin block on degrees l <= 1 (4 matvecs)."""
-        block = np.array([self.galerkin_apply(e)[:4] for e in np.eye(4, self.grid.n_coeffs)]).T
+        """The symmetrised 4x4 Galerkin block on degrees l <= 1, by quadrature.
+
+        ``Y^T (wV Y) - Y_theta^T (W11 Y_theta + W12 Y_phi) - Y_phi^T (W12 Y_theta + W22 Y_phi)``
+        over the grid's :attr:`~SphericalGrid.low_degree_basis`; no operator apply.
+        """
+        Y, Yt, Yp = self.grid.low_degree_basis
+        W11, W12, W22, wV = (w[:, None] for w in self._galerkin_weights)
+        block = Y.T @ (wV * Y) - Yt.T @ (W11 * Yt + W12 * Yp) - Yp.T @ (W12 * Yt + W22 * Yp)
         return 0.5 * (block + block.T)
 
     @cached_property
@@ -347,18 +358,22 @@ class SurfaceGeometry:
         left preconditioner inverts ``diag(2 - l(l+1))``, the Galerkin matrix
         of every Euclidean round sphere, on l >= 2 and the exact deflated
         4x4 block on degrees l <= 1, which hold the near-kernel translation
-        modes.  Raises :class:`SolverError` unless GMRES converges, so a
-        caller never receives an unconverged solution.
+        modes.  The relative tolerance rises above ``_KRYLOV_RTOL`` with that
+        block's condition number, which sets the round-off floor of the
+        preconditioned residual.  Raises :class:`SolverError` unless GMRES
+        converges, so a caller never receives an unconverged solution.
         """
         import scipy.sparse.linalg as spla
 
         n = self.grid.n_coeffs
         K, MK = self._kernel
         shift = -4.0 / self.sigma_scale**2
+        block = self._low_block + shift * (MK[:4] @ MK[:4].T)
         try:
-            block_inv = np.linalg.inv(self._low_block + shift * (MK[:4] @ MK[:4].T))
+            block_inv = np.linalg.inv(block)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"degree <= 1 Galerkin block is singular: {exc}") from exc
+        rtol = max(_KRYLOV_RTOL, _KRYLOV_FLOOR * np.finfo(float).eps * np.linalg.cond(block))
         l = self.grid.coeff_l[4:]
         inverses = (block_inv, 1.0 / (2.0 - l * (l + 1.0)))
 
@@ -374,7 +389,7 @@ class SurfaceGeometry:
         u, info = spla.gmres(
             spla.LinearOperator((n, n), matvec=matvec, dtype=float),
             _block_diagonal(inverses, load - MK @ (K.T @ load)),
-            rtol=_KRYLOV_RTOL,
+            rtol=rtol,
             atol=0.0,
             restart=_KRYLOV_RESTART,
             maxiter=_KRYLOV_CYCLES,

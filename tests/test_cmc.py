@@ -149,6 +149,24 @@ def test_solve_foliation_schwarzschild():
     assert result.nested is True
 
 
+@pytest.mark.parametrize("band_limit", [16, 24, 32])
+def test_large_sigma_sweep_reaches_krylov_tolerance(band_limit):
+    """Warm-started leaves up to sigma = 8192 m: the l = 1 conditioning (~ sigma / 3m) sets
+    the preconditioned residual's round-off floor, and the Krylov tolerance follows it."""
+    config = SolverConfig(band_limit=band_limit, compute_eigenvalues=False)
+    result = solve_foliation(schwarzschild(1.0), [16.0, 1024.0, 8192.0], config)
+    assert not result.failures
+    assert [leaf.sigma for leaf in result.leaves] == [16.0, 1024.0, 8192.0]
+    assert all(leaf.residual <= config.newton_tol for leaf in result.leaves)
+
+
+def test_cold_solve_at_very_large_sigma():
+    """A round-sphere start at sigma = 16384 m, where cond(block) is about 5500."""
+    config = SolverConfig(band_limit=16, compute_eigenvalues=False)
+    leaf = solve_cmc(schwarzschild(1.0), 16384.0, config)
+    assert leaf.residual <= config.newton_tol
+
+
 def test_solve_foliation_empty_and_partial():
     assert solve_foliation(schwarzschild(1.0), [], CFG).leaves == []
     tiny = SolverConfig(band_limit=8, max_newton=2, compute_eigenvalues=False)

@@ -377,32 +377,6 @@ def test_inverse_metric_rejects_indefinite_metrics(g):
         models._inverse_metric(stack)
 
 
-def test_inverse_metric_deriv_matches_fd_and_three_operand_contraction():
-    """``d_m g^kl`` by batched products: an FD oracle of inv(g) and the plain einsum."""
-    model = perturbed_schwarzschild(1.0, 0.5, 0.1, "odd")
-    x = np.array([[9.0, 3.0, -4.0], [-12.0, -1.0, 2.0], [3.0, 7.0, 6.0]])
-    ginv, dg = np.linalg.inv(model.metric(x)), model.metric_deriv(x)
-    exact = models._inverse_metric_deriv(ginv, dg)
-    h = 1e-4
-    fd = np.empty_like(exact)
-    for m in range(3):
-        e = np.zeros(3)
-        e[m] = h
-        inv_plus, inv_minus = np.linalg.inv(model.metric(x + e)), np.linalg.inv(model.metric(x - e))
-        fd[:, m] = (inv_plus - inv_minus) / (2 * h)
-    assert np.abs(fd - exact).max() <= 1e-7 * np.abs(exact).max()
-
-    # a general symmetric metric as well: the odd model's is diagonal
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((5, 3, 3))
-    g = np.einsum("nij,nkj->nik", a, a) + 3.0 * np.eye(3)
-    d = rng.standard_normal((5, 3, 3, 3))
-    for ginv, dg in ((ginv, dg), (np.linalg.inv(g), d + np.swapaxes(d, -1, -2))):
-        exact = models._inverse_metric_deriv(ginv, dg)
-        reference = -np.einsum("...ka,...mab,...bl->...mkl", ginv, dg, ginv)
-        assert np.abs(exact - reference).max() <= 1e-14 * np.abs(reference).max()
-
-
 def test_momentum_density_matches_three_operand_contractions():
     """The connection terms, contracted two at a time, agree with the plain three-operand sums."""
     rng = np.random.default_rng(12)
@@ -418,9 +392,8 @@ def test_momentum_density_matches_three_operand_contractions():
     dkb = sym(rng.standard_normal((6, 3, 3, 3)))
     gamma = _christoffel_from(ginv, dg)
     hbar = np.einsum("...ab,...ab->...", ginv, kb)
-    dhbar = np.einsum("...mab,...ab->...m", models._inverse_metric_deriv(ginv, dg), kb) + np.einsum(
-        "...ab,...mab->...m", ginv, dkb
-    )
+    dginv = -np.einsum("...ka,...mab,...bl->...mkl", ginv, dg, ginv)
+    dhbar = np.einsum("...mab,...ab->...m", dginv, kb) + np.einsum("...ab,...mab->...m", ginv, dkb)
     pi = hbar[..., None, None] * g - kb
     dpi = dhbar[..., :, None, None] * g[..., None, :, :] + hbar[..., None, None, None] * dg - dkb
     reference = (

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import sph_harm_y_all
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -258,3 +259,44 @@ def test_adjoint_transform_matches_basis_matrices():
         grid.adjoint_values(g[:-1])
     with pytest.raises(ConfigurationError):
         grid.adjoint_values(g, dtheta=2, dphi=1)
+
+
+DERIVATIVE_ORDERS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+
+def scipy_basis(grid, nodes):
+    """Reference ``{(dtheta, dphi): D Y_a(node)}`` of shape ``(n_coeffs, len(nodes))`` from scipy.
+
+    ``sph_harm_y_all`` (the complex ``sph_harm_y`` family, Condon-Shortley phase) in the
+    lab's real convention: real part for m >= 0, imaginary part for m < 0, times
+    ``(-1)^|m| sqrt(2)`` for m != 0.  No code of :mod:`cmclab.sphere` enters.
+    """
+    L = grid.band_limit
+    y, grad, hess = sph_harm_y_all(L, L, grid.node_theta[nodes], grid.node_phi[nodes], diff_n=2)
+    parts = [y, grad[..., 0], grad[..., 1], hess[..., 0, 0], hess[..., 0, 1], hess[..., 1, 1]]
+    l, m = grid.coeff_l, grid.coeff_m
+    scale = np.where(m == 0, 1.0, (-1.0) ** np.abs(m) * np.sqrt(2.0))[:, None]
+    return {
+        order: scale * np.where((m >= 0)[:, None], z[l, np.abs(m)].real, z[l, np.abs(m)].imag)
+        for order, z in zip(DERIVATIVE_ORDERS, parts)
+    }
+
+
+@pytest.mark.parametrize("band_limit", [8, 24, 48])
+def test_transforms_match_scipy_spherical_harmonics(band_limit):
+    """Synthesis and its adjoint for every derivative order, against scipy at a node subset."""
+    grid = build_grid(band_limit)
+    rng = np.random.default_rng(band_limit)
+    nodes = np.sort(rng.choice(grid.n_nodes, min(grid.n_nodes, 120), replace=False))
+    basis = scipy_basis(grid, nodes)
+    c = rng.standard_normal(grid.n_coeffs)
+    v = np.zeros(grid.n_nodes)
+    v[nodes] = rng.standard_normal(nodes.size)
+    for (dtheta, dphi), B in basis.items():
+        ref = c @ B
+        got = grid.synthesize_values(c, dtheta=dtheta, dphi=dphi)[nodes]
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        # <adjoint(v), c> = <v, synth(c)> with v supported on the subset, slot by slot
+        ref = B @ v[nodes]
+        got = grid.adjoint_values(v, dtheta=dtheta, dphi=dphi)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()

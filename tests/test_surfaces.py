@@ -235,6 +235,26 @@ def test_matrix_free_operator_matches_dense_oracle(band_limit):
     assert np.abs(matrix_free / dense - 1.0).max() <= 1e-10
 
 
+def test_low_block_is_quadrature_without_operator_applies(monkeypatch):
+    """The l <= 1 block makes no operator apply and equals four unit-vector applies."""
+    grid = build_grid(16)
+    geo = compute_geometry(perturbed_sphere(grid, 32.0), perturbed_schwarzschild(1.0, 0.5, 0.1, "odd"))
+    apply = SurfaceGeometry.galerkin_apply
+    calls = []
+
+    def counting(self, coeffs):
+        calls.append(coeffs)
+        return apply(self, coeffs)
+
+    monkeypatch.setattr(SurfaceGeometry, "galerkin_apply", counting)
+    block = geo._low_block
+    assert calls == []
+    # oracle: the symmetrised l <= 1 rows of the operator applied to the four unit vectors
+    unit = np.array([apply(geo, e)[:4] for e in np.eye(4, grid.n_coeffs)]).T
+    oracle = 0.5 * (unit + unit.T)
+    assert np.abs(block - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
 @pytest.mark.parametrize("band_limit", [16, 32])
 def test_matrix_free_lapse_solves_match_dense_eigenbasis_oracle(band_limit, monkeypatch):
     """Positive mass: operator, evolution-lapse and radial-lapse solves against dense eigh."""
