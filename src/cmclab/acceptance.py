@@ -306,7 +306,8 @@ class AcceptanceSuite:
         self_adjointness = float(abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
 
         # linearization order on a CMC coordinate sphere (normal graph = radial
-        # graph up to the known conformal factor)
+        # graph up to the known conformal factor g(N, nu) = phi^2, the factor
+        # by which cmc._newton_loop turns its normal step into a radial one)
         r0 = 10.0
         sphere = SurfaceEmbedding.round_sphere(grid, r0)
         geo_s = compute_geometry(sphere, self.schw)

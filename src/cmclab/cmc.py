@@ -2,10 +2,14 @@
 
 Each leaf solves ``H(surface) = -2/sigma + 4m/sigma^2`` as a radial graph.
 The Newton update solves the stability operator in weak form,
-``L u = H_target - H`` (:meth:`SurfaceGeometry.weak_solve`), and adds ``u``
-to the radial field; on the round Euclidean sphere this reduces to the
-classic 1-D iteration on ``r -> -2/r``.  The converged representation is re-centered so that the
-parametrization center coincides with the Euclidean coordinate centroid.
+``L u = H_target - H`` (:meth:`SurfaceGeometry.weak_solve`), for the normal
+speed ``u``.  A radial displacement ``drho * N`` moves the surface with
+normal speed ``g(N, nu) drho`` (``(1 + m/2r)^2 drho`` on a centred
+Schwarzschild sphere), so the radial field takes the step ``u / g(N, nu)``
+and the iteration converges quadratically.  On the round Euclidean sphere
+it reduces to the classic 1-D iteration on ``r -> -2/r``.  The converged
+representation is re-centered so that the parametrization center
+coincides with the Euclidean coordinate centroid.
 """
 
 from __future__ import annotations
@@ -90,7 +94,10 @@ class CmcLeaf:
     ambient the leaf was solved in, as built by the final Newton
     convergence check; every on-surface quantity of the leaf (momentum,
     lapses, eigenpairs) is evaluated on it.  It is left out of the record,
-    of comparisons and of the repr.
+    of comparisons and of the repr.  ``newton_residuals`` is the scaled
+    residual ``||H - H_sigma||_inf * sigma^2`` of every Newton convergence
+    check, in order, across re-centering rounds; its last entry is
+    ``residual``.
     """
 
     sigma: float
@@ -100,6 +107,7 @@ class CmcLeaf:
     center: np.ndarray
     geometry: SurfaceGeometry = field(repr=False, compare=False)
     eigenvalues: tuple | None = None
+    newton_residuals: tuple = ()
 
     @property
     def area_radius(self) -> float:
@@ -111,6 +119,7 @@ class CmcLeaf:
             "sigma": self.sigma,
             "residual": self.residual,
             "iterations": self.iterations,
+            "newton_residuals": list(self.newton_residuals),
             "center": self.center.tolist(),
             "area_radius": self.area_radius,
             "surface": self.surface.to_record(),
@@ -172,8 +181,9 @@ def solve_cmc(
         surface = SurfaceEmbedding.round_sphere(grid, sigma, model.exclusion_center)
 
     total_iters = 0
+    history = []
     for _ in range(8):
-        surface, iters, geo = _newton_loop(surface, model, h_target, sigma, config)
+        surface, iters, geo = _newton_loop(surface, model, h_target, sigma, config, history)
         total_iters += iters
         z = euclidean_center(surface)
         if np.linalg.norm(z - surface.center) <= _CANONICAL_CENTER_TOL * sigma:
@@ -183,7 +193,7 @@ def solve_cmc(
     else:
         raise SolverError("re-centering loop did not stabilize")
 
-    residual = float(np.abs(geo.mean_curvature - h_target).max() * sigma**2)
+    residual = history[-1]
     eigenvalues = None
     if config.compute_eigenvalues:
         pairs = low_eigenpairs(geo, n=3)
@@ -196,21 +206,27 @@ def solve_cmc(
         center=z,
         geometry=geo,
         eigenvalues=eigenvalues,
+        newton_residuals=tuple(history),
     )
 
 
-def _newton_loop(surface, model, h_target, sigma, config):
+def _newton_loop(surface, model, h_target, sigma, config, history):
     """Newton iteration to tolerance; returns ``(surface, iterations, geometry)``.
 
     ``geometry`` is the :class:`SurfaceGeometry` of the returned surface,
-    built for the convergence check.
+    built for the convergence check.  The scaled residual of every
+    convergence check is appended to ``history``.  Each step solves
+    ``L u = H_target - H`` for the normal speed ``u`` and moves the radial
+    field by ``u / g(N, nu)``, the radial displacement of that normal speed.
     """
+    grid = surface.grid
     previous = np.inf
     increases = 0
     for it in range(config.max_newton):
         geo = compute_geometry(surface, model)
         residual_field = h_target - geo.mean_curvature
-        residual = np.abs(residual_field).max() * sigma**2
+        residual = float(np.abs(residual_field).max() * sigma**2)
+        history.append(residual)
         if residual <= config.newton_tol:
             _log.debug("newton sigma=%g iter=%d residual=%.3e", sigma, it, residual)
             return surface, it, geo
@@ -224,8 +240,11 @@ def _newton_loop(surface, model, h_target, sigma, config):
         else:
             increases = 0
         previous = residual
-        du, krylov = geo.weak_solve(residual_field)
+        u, krylov = geo.weak_solve(residual_field)
         _log.debug("newton sigma=%g iter=%d residual=%.3e krylov=%d", sigma, it, residual, krylov)
+        # g(N, nu): the normal speed of a unit radial step, positive on star-shaped surfaces
+        speed = np.einsum("ni,ni->n", geo.normal_flat, grid.directions)
+        du = grid.analyze_values(grid.synthesize_values(u) / speed)
         surface = surface.with_radius(surface.rho_coeffs + du)
         z = euclidean_center(surface)
         if np.linalg.norm(z - surface.center) > _RECENTER_FRACTION * sigma:
@@ -233,7 +252,8 @@ def _newton_loop(surface, model, h_target, sigma, config):
             previous = np.inf  # resampling perturbs the residual benignly
             increases = 0
     geo = compute_geometry(surface, model)
-    residual = np.abs(geo.mean_curvature - h_target).max() * sigma**2
+    residual = float(np.abs(geo.mean_curvature - h_target).max() * sigma**2)
+    history.append(residual)
     if residual > config.newton_tol:
         raise SolverError(
             f"Newton did not reach tolerance {config.newton_tol:.1e} in "

@@ -154,20 +154,40 @@ class InitialDataModel:
 # ---------------------------------------------------------------------------
 
 
-def _schwarzschild_evaluators(m: float):
+def _conformal(psi, dpsi, d2psi):
+    """The ``g``/``dg``/``d2g`` evaluators of the conformally flat metric ``psi(x) delta_ij``.
+
+    ``psi``, ``dpsi`` and ``d2psi`` give the scalar factor, its gradient
+    ``(..., 3)`` and its Hessian ``(..., 3, 3)``; each evaluator expands its
+    scalar array against ``_ID3`` once.
+    """
+
     def g(x):
-        r = np.linalg.norm(x, axis=-1)
-        phi = 1.0 + m / (2.0 * r)
-        return phi[..., None, None] ** 4 * _ID3
+        return psi(x)[..., None, None] * _ID3
 
     def dg(x):
+        return dpsi(x)[..., :, None, None] * _ID3
+
+    def d2g(x):
+        return d2psi(x)[..., :, :, None, None] * _ID3
+
+    return g, dg, d2g
+
+
+def _schwarzschild_factors(m: float):
+    """Conformal factor ``phi^4``, ``phi = 1 + m/2r``, with its gradient and Hessian."""
+
+    def psi(x):
+        r = np.linalg.norm(x, axis=-1)
+        return (1.0 + m / (2.0 * r)) ** 4
+
+    def dpsi(x):
         r = np.linalg.norm(x, axis=-1)[..., None]
         phi = 1.0 + m / (2.0 * r)
         dphi = -(m / 2.0) * x / r**3
-        coef = 4.0 * phi**3 * dphi  # (..., 3)
-        return coef[..., :, None, None] * _ID3
+        return 4.0 * phi**3 * dphi
 
-    def d2g(x):
+    def d2psi(x):
         r = np.linalg.norm(x, axis=-1)[..., None]
         phi = (1.0 + m / (2.0 * r))[..., None]
         dphi = -(m / 2.0) * x / r**3
@@ -175,8 +195,13 @@ def _schwarzschild_evaluators(m: float):
             _ID3 / r[..., None] ** 3
             - 3.0 * x[..., :, None] * x[..., None, :] / r[..., None] ** 5
         )
-        coef = 12.0 * phi**2 * dphi[..., :, None] * dphi[..., None, :] + 4.0 * phi**3 * d2phi
-        return coef[..., :, :, None, None] * _ID3
+        return 12.0 * phi**2 * dphi[..., :, None] * dphi[..., None, :] + 4.0 * phi**3 * d2phi
+
+    return psi, dpsi, d2psi
+
+
+def _schwarzschild_evaluators(m: float):
+    g, dg, d2g = _conformal(*_schwarzschild_factors(m))
 
     def alpha(x):
         r = np.linalg.norm(x, axis=-1)
@@ -302,24 +327,23 @@ def perturbed_schwarzschild(
     base = schwarzschild(m)
     A = float(amplitude)
 
+    # each shape is ``p(x) delta_ij``: the scalar p, its gradient and its Hessian
     if shape == "even":
 
         def p(x):
             r = np.linalg.norm(x, axis=-1)
-            return (A * r ** -(1.0 + epsilon))[..., None, None] * _ID3
+            return A * r ** -(1.0 + epsilon)
 
         def dp(x):
             r = np.linalg.norm(x, axis=-1)[..., None]
-            coef = -A * (1.0 + epsilon) * x * r ** -(3.0 + epsilon)
-            return coef[..., :, None, None] * _ID3
+            return -A * (1.0 + epsilon) * x * r ** -(3.0 + epsilon)
 
         def d2p(x):
             r = np.linalg.norm(x, axis=-1)[..., None, None]
             xx = x[..., :, None] * x[..., None, :]
-            coef = -A * (1.0 + epsilon) * (
+            return -A * (1.0 + epsilon) * (
                 _ID3 * r ** -(3.0 + epsilon) - (3.0 + epsilon) * xx * r ** -(5.0 + epsilon)
             )
-            return coef[..., :, :, None, None] * _ID3
 
         # order-by-order sup of r^(1+|g|+eps)|d^g p| over directions
         cbar = A * max(1.0, 1.0 + epsilon, (1.0 + epsilon) * (4.0 + epsilon))
@@ -327,13 +351,12 @@ def perturbed_schwarzschild(
 
         def p(x):
             r = np.linalg.norm(x, axis=-1)
-            return (A * x[..., 0] * r ** -(2.0 + epsilon))[..., None, None] * _ID3
+            return A * x[..., 0] * r ** -(2.0 + epsilon)
 
         def dp(x):
             r = np.linalg.norm(x, axis=-1)[..., None]
             e1 = _ID3[0]
-            coef = A * (e1 * r ** -(2.0 + epsilon) - (2.0 + epsilon) * x[..., 0:1] * x * r ** -(4.0 + epsilon))
-            return coef[..., :, None, None] * _ID3
+            return A * (e1 * r ** -(2.0 + epsilon) - (2.0 + epsilon) * x[..., 0:1] * x * r ** -(4.0 + epsilon))
 
         def d2p(x):
             r = np.linalg.norm(x, axis=-1)[..., None, None]
@@ -342,24 +365,26 @@ def perturbed_schwarzschild(
             xx = x[..., :, None] * x[..., None, :]
             e1x = e1[:, None] * x[..., None, :]
             xe1 = x[..., :, None] * e1[None, :]
-            coef = A * (
+            return A * (
                 -(2.0 + epsilon) * (e1x + xe1 + x1 * _ID3) * r ** -(4.0 + epsilon)
                 + (2.0 + epsilon) * (4.0 + epsilon) * x1 * xx * r ** -(6.0 + epsilon)
             )
-            return coef[..., :, :, None, None] * _ID3
 
         cbar = A * max(1.0, 3.0 + epsilon, (2.0 + epsilon) * (7.0 + epsilon))
 
     def add(fa, fb):
         return lambda x: fa(x) + fb(x)
 
+    # the factors add before the single expansion to (..., 3, 3[, 3[, 3]]) arrays
+    g, dg, d2g = _conformal(*map(add, _schwarzschild_factors(m), (p, dp, d2p)))
+
     return replace(
         base,
         name=f"perturbed(m={m:g}, eps={epsilon:g}, A={A:g}, {shape})",
         decay=DecayClass(epsilon=epsilon, constant=cbar),
-        _g=add(base._g, p),
-        _dg=add(base._dg, dp),
-        _d2g=add(base._d2g, d2p),
+        _g=g,
+        _dg=dg,
+        _d2g=d2g,
     )
 
 

@@ -589,3 +589,82 @@ def test_synthetic_data_zero_amplitude_is_time_symmetric():
     x = np.array([[10.0, 0.0, 0.0]])
     assert np.abs(data.kbar(x)).max() == 0.0
     assert np.abs(data.kbar_deriv(x)).max() == 0.0
+
+
+# The term-by-term metric formulas the conformal evaluators replaced: every additive
+# term builds its own full (n, 3, 3[, 3[, 3]]) array, and the arrays are then added.
+
+
+def _expanded_schwarzschild(m, x):
+    r = np.linalg.norm(x, axis=-1)
+    g = (1.0 + m / (2.0 * r))[..., None, None] ** 4 * np.eye(3)
+    r = r[..., None]
+    phi = 1.0 + m / (2.0 * r)
+    dphi = -(m / 2.0) * x / r**3
+    dg = (4.0 * phi**3 * dphi)[..., :, None, None] * np.eye(3)
+    phi = phi[..., None]
+    d2phi = -(m / 2.0) * (
+        np.eye(3) / r[..., None] ** 3 - 3.0 * x[..., :, None] * x[..., None, :] / r[..., None] ** 5
+    )
+    coef = 12.0 * phi**2 * dphi[..., :, None] * dphi[..., None, :] + 4.0 * phi**3 * d2phi
+    return g, dg, coef[..., :, :, None, None] * np.eye(3)
+
+
+def _expanded_perturbation(epsilon, A, shape, x):
+    ID3, e1 = np.eye(3), np.eye(3)[0]
+    r = np.linalg.norm(x, axis=-1)
+    r1, r2 = r[..., None], r[..., None, None]
+    xx = x[..., :, None] * x[..., None, :]
+    if shape == "even":
+        p = A * r ** -(1.0 + epsilon)
+        dp = -A * (1.0 + epsilon) * x * r1 ** -(3.0 + epsilon)
+        d2p = -A * (1.0 + epsilon) * (ID3 * r2 ** -(3.0 + epsilon) - (3.0 + epsilon) * xx * r2 ** -(5.0 + epsilon))
+    else:
+        x1 = x[..., 0][..., None, None]
+        p = A * x[..., 0] * r ** -(2.0 + epsilon)
+        dp = A * (e1 * r1 ** -(2.0 + epsilon) - (2.0 + epsilon) * x[..., 0:1] * x * r1 ** -(4.0 + epsilon))
+        d2p = A * (
+            -(2.0 + epsilon) * (e1[:, None] * x[..., None, :] + x[..., :, None] * e1[None, :] + x1 * ID3)
+            * r2 ** -(4.0 + epsilon)
+            + (2.0 + epsilon) * (4.0 + epsilon) * x1 * xx * r2 ** -(6.0 + epsilon)
+        )
+    return p[..., None, None] * ID3, dp[..., :, None, None] * ID3, d2p[..., :, :, None, None] * ID3
+
+
+def _expanded_perturbed(m, epsilon, A, shape, x):
+    return tuple(a + b for a, b in zip(_expanded_schwarzschild(m, x), _expanded_perturbation(epsilon, A, shape, x)))
+
+
+@pytest.mark.parametrize(
+    "model, reference",
+    [
+        (schwarzschild(1.0), lambda x: _expanded_schwarzschild(1.0, x)),
+        (euclidean(), lambda x: _expanded_schwarzschild(0.0, x)),
+        (perturbed_schwarzschild(1.0, 0.5, 0.3, "even"), lambda x: _expanded_perturbed(1.0, 0.5, 0.3, "even", x)),
+        (perturbed_schwarzschild(1.0, 0.5, 0.1, "odd"), lambda x: _expanded_perturbed(1.0, 0.5, 0.1, "odd", x)),
+        (
+            translated(perturbed_schwarzschild(1.0, 0.5, 0.1, "odd"), (0.3, -0.2, 0.1)),
+            lambda x: _expanded_perturbed(1.0, 0.5, 0.1, "odd", x - np.array([0.3, -0.2, 0.1])),
+        ),
+        (
+            interpolated(perturbed_schwarzschild(1.0, 0.5, 0.1, "odd"), 0.35),
+            lambda x: tuple(
+                s + 0.35 * (p - s)
+                for s, p in zip(_expanded_schwarzschild(1.0, x), _expanded_perturbed(1.0, 0.5, 0.1, "odd", x))
+            ),
+        ),
+    ],
+    ids=["schwarzschild", "euclidean", "even", "odd", "translated", "interpolated"],
+)
+def test_conformal_evaluators_equal_term_by_term_expansion(model, reference):
+    """Adding the scalar factors before one ``_ID3`` expansion gives the same arrays.
+
+    The 0/1 entries of the identity make the expansion exact, so the arrays
+    equal the term-by-term sums exactly (up to the sign of exact zeros).
+    """
+    x = sample_points(np.random.default_rng(17), n=200, rmin=5.0, rmax=200.0)
+    expected = reference(x)
+    for evaluate, want in zip((model.metric, model.metric_deriv, model.metric_deriv2), expected):
+        got = evaluate(x)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
