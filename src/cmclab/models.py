@@ -34,6 +34,7 @@ __all__ = [
     "DecayClass",
     "MetricModel",
     "InitialDataModel",
+    "DataFields",
     "DecayReport",
     "euclidean",
     "schwarzschild",
@@ -125,28 +126,59 @@ class MetricModel:
 
 
 @dataclass(frozen=True)
+class DataFields:
+    """An initial data set's tensors at one set of points, from one evaluation.
+
+    ``metric`` and ``metric_deriv`` are the base metric and its first
+    derivatives when the data set evaluates them together with ``kbar``
+    (:func:`artificial_data`), else ``None``.
+    """
+
+    kbar: np.ndarray
+    kbar_deriv: np.ndarray
+    lapse: np.ndarray
+    lapse_deriv: np.ndarray
+    metric: np.ndarray | None = None
+    metric_deriv: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
 class InitialDataModel:
-    """Initial data set: base metric plus extrinsic curvature and lapse."""
+    """Initial data set: base metric plus extrinsic curvature and lapse.
+
+    ``_kbar``/``_dkbar`` evaluate the extrinsic curvature, or ``_joint``
+    evaluates ``(g, dg, kbar, dkbar)`` in one call for data defined through
+    the base metric; the lapse defaults to the base model's.
+    """
 
     base: MetricModel
     _kbar: Callable = None
     _dkbar: Callable = None
     _alpha: Callable = None
     _dalpha: Callable = None
+    _joint: Callable = None
+
+    def evaluate(self, x) -> DataFields:
+        """Every field of the data set at ``x``, after one domain check."""
+        x = self.base._check_domain(x)
+        alpha = self._alpha if self._alpha is not None else self.base._alpha
+        dalpha = self._dalpha if self._dalpha is not None else self.base._dalpha
+        if self._joint is None:
+            return DataFields(self._kbar(x), self._dkbar(x), alpha(x), dalpha(x))
+        g, dg, kb, dkb = self._joint(x)
+        return DataFields(kb, dkb, alpha(x), dalpha(x), g, dg)
 
     def kbar(self, x) -> np.ndarray:
-        return self._kbar(self.base._check_domain(x))
+        return self.evaluate(x).kbar
 
     def kbar_deriv(self, x) -> np.ndarray:
-        return self._dkbar(self.base._check_domain(x))
+        return self.evaluate(x).kbar_deriv
 
     def lapse(self, x) -> np.ndarray:
-        fn = self._alpha if self._alpha is not None else self.base._alpha
-        return fn(self.base._check_domain(x))
+        return self.evaluate(x).lapse
 
     def lapse_deriv(self, x) -> np.ndarray:
-        fn = self._dalpha if self._dalpha is not None else self.base._dalpha
-        return fn(self.base._check_domain(x))
+        return self.evaluate(x).lapse_deriv
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +306,11 @@ def _anchored_schwarzschild_evaluators(mass: float, anchor: np.ndarray):
     return tuple((lambda f: (lambda x: f(np.asarray(x, dtype=float) - anchor)))(f) for f in fns)
 
 
+def _affine(a, b, tau):
+    """``a + tau * (b - a)``: the interpolation of :func:`interpolated` and :func:`artificial_data`."""
+    return a + tau * (b - a)
+
+
 def interpolated(model: MetricModel, tau: float, anchor=None) -> MetricModel:
     """Affine interpolation ``gS + tau * (g - gS)`` toward Schwarzschild.
 
@@ -291,11 +328,7 @@ def interpolated(model: MetricModel, tau: float, anchor=None) -> MetricModel:
     gs, dgs, d2gs, alpha, dalpha = _anchored_schwarzschild_evaluators(model.mass, anchor)
 
     def mix(fa, fb):
-        def f(x):
-            a = fa(x)
-            return a + tau * (fb(x) - a)
-
-        return f
+        return lambda x: _affine(fa(x), fb(x), tau)
 
     return replace(
         model,
@@ -447,7 +480,10 @@ def artificial_data(
     The ambient metric is ``interpolated(model, tau)``; the slice extrinsic
     curvature is ``factor * (gS - g)`` with unit lapse.  ``factor = 0.5`` is
     the definitional value ``-(1/2) d_tau g_tau``; ``factor = 2.0`` is kept
-    as a diagnostic variant (see the decay/center comparison reports).
+    as a diagnostic variant (see the decay/center comparison reports).  One
+    joint evaluation of ``g``, ``dg``, ``gS`` and ``dgS`` gives both the
+    ambient metric with its derivative (bit for bit those of
+    :func:`interpolated`) and ``kbar`` with its derivative.
     """
     anchor = np.asarray(
         anchor if anchor is not None else model.exclusion_center, dtype=float
@@ -455,11 +491,10 @@ def artificial_data(
     ambient = interpolated(model, tau, anchor=anchor)
     gs, dgs, _, _, _ = _anchored_schwarzschild_evaluators(model.mass, anchor)
 
-    def kb(x):
-        return factor * (gs(x) - model._g(x))
-
-    def dkb(x):
-        return factor * (dgs(x) - model._dg(x))
+    def joint(x):
+        a, b = gs(x), model._g(x)
+        da, db = dgs(x), model._dg(x)
+        return _affine(a, b, tau), _affine(da, db, tau), factor * (a - b), factor * (da - db)
 
     def alpha(x):
         return np.ones(np.asarray(x).shape[:-1])
@@ -467,7 +502,7 @@ def artificial_data(
     def dalpha(x):
         return np.zeros(np.asarray(x).shape)
 
-    return InitialDataModel(base=ambient, _kbar=kb, _dkbar=dkb, _alpha=alpha, _dalpha=dalpha)
+    return InitialDataModel(base=ambient, _alpha=alpha, _dalpha=dalpha, _joint=joint)
 
 
 # ---------------------------------------------------------------------------
@@ -655,10 +690,11 @@ def verify_decay(
         k0, k1, a0, a1 = [], [], [], []
         for r in radii:
             pts = r * dirs
-            k0.append(sup_abs(data.kbar(pts)))
-            k1.append(sup_abs(data.kbar_deriv(pts)))
-            a0.append(sup_abs(data.lapse(pts) - alphas(pts)))
-            a1.append(sup_abs(data.lapse_deriv(pts) - dalphas(pts)))
+            fields = data.evaluate(pts)
+            k0.append(sup_abs(fields.kbar))
+            k1.append(sup_abs(fields.kbar_deriv))
+            a0.append(sup_abs(fields.lapse - alphas(pts)))
+            a1.append(sup_abs(fields.lapse_deriv - dalphas(pts)))
         record("kbar", 0, delta, k0)
         record("kbar", 1, delta, k1)
         record("lapse", 0, eps - delta, a0)

@@ -16,6 +16,13 @@ Conventions shared by every operation here:
   model is the ambient metric; an initial data set ``data`` supplies only
   the extrinsic curvature ``kbar`` and the lapse, so it must be built on
   that same ambient.
+* The data are evaluated once per node set: :func:`data_record` holds
+  ``kbar``, its derivative, the lapse, its gradient, ``tr kbar`` and the
+  momentum density ``J`` on the geometry's nodes and is cached on the
+  geometry for that data set, so the momentum integrals, the lapse source
+  and the evolution law read one evaluation.  A flow velocity builds its
+  sphere's metric and its record from one joint evaluation of the
+  artificial data.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ from .sphere import ScalarField, build_grid
 from .surfaces import (
     SurfaceEmbedding,
     SurfaceGeometry,
-    compute_geometry,
     surface_divergence,
     w1inf_norm,
 )
@@ -47,6 +53,8 @@ __all__ = [
     "EvolutionReport",
     "CenterReport",
     "ArtificialFlowResult",
+    "DataRecord",
+    "data_record",
     "quasi_local_momentum",
     "adm_center_integral",
     "lapse_rhs",
@@ -92,6 +100,56 @@ class MomentumReport:
         }
 
 
+@dataclass(frozen=True)
+class DataRecord:
+    """An initial data set on the nodes of one geometry, evaluated once.
+
+    ``kbar`` ``(n, 3, 3)``, ``kbar_deriv`` ``(n, 3, 3, 3)``, ``lapse``
+    ``(n,)`` and ``lapse_deriv`` ``(n, 3)`` come from one
+    :meth:`InitialDataModel.evaluate`; ``trace = g^ab kbar_ab`` and the
+    momentum density ``J`` ``(n, 3)`` are assembled with the geometry's
+    metric, inverse and Christoffel symbols.
+    """
+
+    kbar: np.ndarray
+    kbar_deriv: np.ndarray
+    lapse: np.ndarray
+    lapse_deriv: np.ndarray
+    trace: np.ndarray
+    momentum_density: np.ndarray
+
+
+def data_record(geometry: SurfaceGeometry, data: InitialDataModel) -> DataRecord:
+    """The record of ``data`` on the nodes of ``geometry``, built on first use.
+
+    It is cached on the geometry (``geometry.data_cache``) for that data set,
+    so the momentum integrals, the lapse source and the evolution law read
+    one evaluation.
+    """
+    cached = geometry.data_cache
+    if cached is not None and cached[0] is data:
+        return cached[1]
+    return _record(geometry, data, data.evaluate(geometry.positions))
+
+
+def _record(geometry: SurfaceGeometry, data: InitialDataModel, fields) -> DataRecord:
+    """Assemble and cache the record of ``data`` from its ``fields`` at the geometry's nodes."""
+    geo = geometry
+    kb = fields.kbar
+    record = DataRecord(
+        kbar=kb,
+        kbar_deriv=fields.kbar_deriv,
+        lapse=fields.lapse,
+        lapse_deriv=fields.lapse_deriv,
+        trace=np.einsum("nab,nab->n", geo.gbar_inv, kb),
+        momentum_density=momentum_density(
+            geo.gbar, geo.gbar_inv, geo.dgbar, geo.gamma_bar, kb, fields.kbar_deriv
+        ),
+    )
+    geo.data_cache = (data, record)
+    return record
+
+
 def quasi_local_momentum(
     geometry: SurfaceGeometry, data: InitialDataModel, sigma: float
 ) -> MomentumReport:
@@ -110,18 +168,15 @@ def quasi_local_momentum(
     """
     geo = geometry
     sigma = float(sigma)
-    x = geo.positions
-    kb = data.kbar(x)
-    hbar = np.einsum("nab,nab->n", geo.gbar_inv, kb)
+    rec = data_record(geo, data)
     nu = geo.normal
     w = geo.weights_induced
     w_corr = geo.weights_euclidean
-    trace_term = np.einsum("n,nai,na->ni", hbar, geo.gbar, nu)
-    kbar_term = np.einsum("nai,na->ni", kb, nu)
+    trace_term = np.einsum("n,nai,na->ni", rec.trace, geo.gbar, nu)
+    kbar_term = np.einsum("nai,na->ni", rec.kbar, nu)
     p_trace = -(w[:, None] * trace_term).sum(axis=0) / EIGHT_PI
     p_kbar = (w[:, None] * kbar_term).sum(axis=0) / EIGHT_PI
-    J = momentum_density(geo.gbar, geo.gbar_inv, geo.dgbar, geo.gamma_bar, kb, data.kbar_deriv(x))
-    jnu = np.einsum("na,na->n", J, nu)
+    jnu = np.einsum("na,na->n", rec.momentum_density, nu)
     correction = sigma * (w_corr[:, None] * (jnu[:, None] * nu)).sum(axis=0) / EIGHT_PI
     return MomentumReport(
         sigma=sigma,
@@ -172,15 +227,18 @@ def lapse_rhs(geometry: SurfaceGeometry, data: InitialDataModel) -> ScalarField:
     """Source of the evolution lapse equation on the surface of ``geometry``.
 
     Assembles ``alpha (div kbar_nu - J(nu) - <k, kbar>) - (D_nu alpha)
-    tr(kbar) + 2 kbar(nu, grad alpha)`` with ``kbar_nu`` the tangential
-    part of ``kbar(nu, .)``, the divergence taken on the surface, and
-    ``grad alpha`` the tangential gradient of the lapse.
+    (tr kbar - kbar(nu, nu)) + 2 kbar(nu, grad alpha)`` with ``kbar_nu`` the
+    tangential part of ``kbar(nu, .)``, the divergence taken on the surface,
+    and ``grad alpha`` the tangential gradient of the lapse.  It is
+    ``-d_t H`` of the fixed surface while the slice evolves by
+    ``d_t g = -2 alpha kbar`` with zero shift (the convention of
+    :func:`artificial_data`, where ``kbar = -(1/2) d_tau g``); the normal
+    lapse derivative multiplies the surface trace ``tr_Sigma kbar``.  The
+    data are read from :func:`data_record`.
     """
     geo = geometry
-    x = geo.positions
-    kb = data.kbar(x)
-    alpha = data.lapse(x)
-    dalpha = data.lapse_deriv(x)
+    rec = data_record(geo, data)
+    kb, alpha, dalpha = rec.kbar, rec.lapse, rec.lapse_deriv
     nu = geo.normal
     t = geo.tangents
     ainv = geo.induced_inv
@@ -189,19 +247,19 @@ def lapse_rhs(geometry: SurfaceGeometry, data: InitialDataModel) -> ScalarField:
     X = np.einsum("nIJ,nI,nJa->na", ainv, omega, t)  # raised, ambient components
     div_knu = surface_divergence(geo, X)
 
-    J = momentum_density(geo.gbar, geo.gbar_inv, geo.dgbar, geo.gamma_bar, kb, data.kbar_deriv(x))
-    jnu = np.einsum("na,na->n", J, nu)
+    jnu = np.einsum("na,na->n", rec.momentum_density, nu)
 
     kb_surf = np.einsum("nab,nIa,nJb->nIJ", kb, t, t)
     k_dot_kbar = np.einsum("nIJ,nKL,nIK,nJL->n", ainv, ainv, geo.second_fund, kb_surf)
 
-    hbar = np.einsum("nab,nab->n", geo.gbar_inv, kb)
+    # tr_Sigma kbar = tr kbar - kbar(nu, nu)
+    surface_trace = rec.trace - np.einsum("nab,na,nb->n", kb, nu, nu)
     d_nu_alpha = np.einsum("na,na->n", dalpha, nu)
     grad_alpha_amb = np.einsum("nab,nb->na", geo.gbar_inv, dalpha)
     grad_alpha_tan = grad_alpha_amb - d_nu_alpha[:, None] * nu
     kbar_nu_grad = np.einsum("nab,na,nb->n", kb, nu, grad_alpha_tan)
 
-    values = alpha * (div_knu - jnu - k_dot_kbar) - d_nu_alpha * hbar + 2.0 * kbar_nu_grad
+    values = alpha * (div_knu - jnu - k_dot_kbar) - d_nu_alpha * surface_trace + 2.0 * kbar_nu_grad
     return ScalarField(geo.grid, values)
 
 
@@ -330,10 +388,13 @@ def artificial_flow_integrate(
     ).reshape(3)
 
     def velocity(tau: float, z: np.ndarray) -> np.ndarray:
+        # one evaluation of the data gives the sphere's metric and the data record
         data = artificial_data(model, tau, factor=kbar_factor, anchor=anchor)
         sphere = SurfaceEmbedding.round_sphere(grid, sigma, z)
-        mom = quasi_local_momentum(compute_geometry(sphere, data.base), data, sigma)
-        return mom.pseudo_momentum / m
+        fields = data.evaluate(sphere.positions)
+        geo = SurfaceGeometry(sphere, data.base, (fields.metric, fields.metric_deriv))
+        _record(geo, data, fields)
+        return quasi_local_momentum(geo, data, sigma).pseudo_momentum / m
 
     h = 1.0 / tau_steps
     taus = np.linspace(0.0, 1.0, tau_steps + 1)

@@ -152,10 +152,13 @@ class SurfaceGeometry:
     immutable; ``second_fund`` (``k``), ``mean_curvature``, ``|k|^2``, the
     trace-free part of ``k``, ``Ric(nu, nu)``, the stability potential, the
     l <= 1 Galerkin block and the operator's exact kernel are computed on
-    first use and cached.  No solve reads the dense (test-oracle) matrices.
+    first use and cached, and so is the record of the initial data read on
+    the nodes (``data_cache``).  No solve reads the dense (test-oracle)
+    matrices.
     """
 
-    def __init__(self, surface: SurfaceEmbedding, model: MetricModel):
+    def __init__(self, surface: SurfaceEmbedding, model: MetricModel, metric=None):
+        """``metric``: ``(g, dg)`` of ``model`` already evaluated at the surface's nodes, if any."""
         grid = surface.grid
         self.surface = surface
         self.model = model
@@ -171,8 +174,7 @@ class SurfaceGeometry:
         t_ph = rho_p[:, None] * N + rho[:, None] * grid.d_dir_dphi
         self.tangents = np.stack([t_th, t_ph], axis=1)  # (n, 2, 3)
 
-        gbar = model.metric(x)
-        dgbar = model.metric_deriv(x)
+        gbar, dgbar = metric if metric is not None else (model.metric(x), model.metric_deriv(x))
         self.gbar = gbar
         self.dgbar = dgbar
         self.gbar_inv = _inverse_metric(gbar)
@@ -211,6 +213,9 @@ class SurfaceGeometry:
             raise SolverError("normal orientation inconsistent: surface not star-shaped")
         self.normal = nu
         self.normal_flat = np.einsum("nij,nj->ni", gbar, nu)
+        #: ``(data, record)`` of the last initial data set read on these nodes
+        #: (:func:`cmclab.physics.data_record`)
+        self.data_cache = None
 
     @cached_property
     def second_derivs(self) -> np.ndarray:

@@ -539,6 +539,23 @@ def test_artificial_data_factor_and_metric():
     assert np.allclose(ambient, gs.metric(x) + tau * (model.metric(x) - gs.metric(x)))
 
 
+@pytest.mark.parametrize("anchor", [None, (0.0, 0.0, 0.0), (0.5, 0.2, -0.4)])
+def test_artificial_joint_evaluation_equals_interpolated_bits(anchor):
+    """One joint evaluation gives ``interpolated(model, tau)``'s metric and derivative and
+    ``factor (gS - g)`` with its derivative, bit for bit, at random exterior points."""
+    model = translated(perturbed_schwarzschild(1.0, 0.5, 0.1, "odd"), (0.21, -0.13, 0.37))
+    x = model.exclusion_center + sample_points(np.random.default_rng(18), n=200, rmin=8.0, rmax=300.0)
+    reference = translated(schwarzschild(1.0), model.exclusion_center if anchor is None else anchor)
+    for tau, factor in ((0.35, 0.5), (0.8, 2.0)):
+        fields = artificial_data(model, tau, factor=factor, anchor=anchor).evaluate(x)
+        ambient = interpolated(model, tau, anchor=anchor)
+        assert np.array_equal(fields.metric, ambient.metric(x))
+        assert np.array_equal(fields.metric_deriv, ambient.metric_deriv(x))
+        assert np.array_equal(fields.kbar, factor * (reference.metric(x) - model.metric(x)))
+        assert np.array_equal(fields.kbar_deriv, factor * (reference.metric_deriv(x) - model.metric_deriv(x)))
+        assert np.all(fields.lapse == 1.0) and np.all(fields.lapse_deriv == 0.0)
+
+
 def test_decay_validator_schwarzschild_zero():
     report = verify_decay(schwarzschild(1.0))
     top = max(v for orders in report.constants.values() for v in orders.values())

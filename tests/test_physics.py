@@ -2,6 +2,7 @@
 
 import json
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -369,6 +370,85 @@ def test_lapse_rhs_matches_metric_variation_oracle():
     assert np.abs(rhs.values + dH).max() < 1e-8 * np.abs(dH).max()
 
 
+def evolved_slice(data, t):
+    """The first-order evolved slice ``g - 2 t alpha kbar`` (zero shift) as a metric model.
+
+    ``g`` and ``dg`` come from one evaluation of the data per call; ``d2g`` stays the
+    base model's, which feeds only the Newton Jacobian.
+    """
+    base = data.base
+
+    def g(x):
+        f = data.evaluate(x)
+        return base._g(x) - 2.0 * t * f.lapse[..., None, None] * f.kbar
+
+    def dg(x):
+        f = data.evaluate(x)
+        d_alpha_kbar = f.lapse_deriv[..., :, None, None] * f.kbar[..., None, :, :]
+        return base._dg(x) - 2.0 * t * (d_alpha_kbar + f.lapse[..., None, None, None] * f.kbar_deriv)
+
+    return replace(base, name=f"evolved({base.name}, t={t:g})", _g=g, _dg=dg)
+
+
+def radial_angular_lapse(data):
+    """``data`` with the lapse ``1 + 0.3 x1 / r + 4 / r``, which has radial and angular parts."""
+
+    def alpha(x):
+        r = np.linalg.norm(x, axis=-1)
+        return 1.0 + 0.3 * x[..., 0] / r + 4.0 / r
+
+    def dalpha(x):
+        r = np.linalg.norm(x, axis=-1)[..., None]
+        e1 = np.eye(3)[0]
+        return 0.3 * (e1 / r - x[..., 0:1] * x / r**3) - 4.0 * x / r**3
+
+    return replace(data, _alpha=alpha, _dalpha=dalpha)
+
+
+@pytest.mark.parametrize("lapse", ["schwarzschild", "radial-angular"])
+@pytest.mark.parametrize("sigma", [16.0, 64.0])
+def test_lapse_rhs_matches_evolved_slice_variation(sigma, lapse):
+    """``lapse_rhs`` is ``-d_t H`` of the fixed leaf while the slice evolves by ``-2 alpha kbar``.
+
+    Central differences of the mean curvature in ``g -+ 2 h alpha kbar``, with a lapse
+    that has a normal derivative, so the ``(D_nu alpha) tr_Sigma kbar`` term is tested; a
+    source with ``tr kbar`` in its place overshoots about threefold.  The step is
+    h = 1e-3: the difference is round-off bound below it (at sigma = 64 the error is
+    5e-8, against 7e-7 at h = 1e-4 and 7e-9 at h = 1e-2).
+    """
+    base = schwarzschild(M)
+    data = synthetic_data(base, delta=1.0, amplitude=1.0, direction=(0.6, 0.0, 0.8))
+    if lapse == "radial-angular":
+        data = radial_angular_lapse(data)
+    leaf = solve_cmc(base, sigma, SolverConfig(band_limit=32, compute_eigenvalues=False))
+    h = 1e-3
+    Hp, Hm = (compute_geometry(leaf.surface, evolved_slice(data, t)).mean_curvature for t in (h, -h))
+    minus_dH = -(Hp - Hm) / (2.0 * h)
+    rhs = lapse_rhs(leaf.geometry, data).values
+    assert np.abs(rhs - minus_dH).max() <= 1e-6 * np.abs(minus_dH).max()
+
+
+@pytest.mark.parametrize("sigma", [16.0, 32.0, 64.0])
+@pytest.mark.parametrize("ambient", ["schwarzschild", "odd"])
+def test_lapse_velocity_matches_time_oracle(ambient, sigma):
+    """``center_velocity_from_lapse`` is the coordinate velocity of the leaf in the evolving slice.
+
+    The oracle solves the leaf in ``g -+ 2 h alpha kbar`` (h = 1e-3, warm-started from
+    the leaf) and differences the centers, sharing nothing with ``lapse_rhs``.  On
+    odd-perturbed leaves the Newton tolerance sets the floor.
+    """
+    model = schwarzschild(M) if ambient == "schwarzschild" else perturbed_schwarzschild(M, 0.5, 0.1, "odd")
+    data = synthetic_data(model, delta=1.0, amplitude=1.0, direction=(0.6, 0.0, 0.8))
+    config = SolverConfig(band_limit=16, compute_eigenvalues=False)
+    leaf = solve_cmc(model, sigma, config)
+    h = 1e-3
+    zp, zm = (solve_cmc(evolved_slice(data, t), sigma, config, initial=leaf.surface).center for t in (h, -h))
+    oracle = (zp - zm) / (2.0 * h)
+    velocity = center_velocity_from_lapse(leaf.geometry, solve_lapse(leaf.geometry, data))
+    bound = 1e-7 if ambient == "schwarzschild" else 1e-4
+    assert np.linalg.norm(velocity - oracle) <= bound * np.linalg.norm(oracle)
+
+
 def test_each_ambient_tensor_is_evaluated_once(monkeypatch):
     """A geometry evaluates g and dg once and d2g only when the potential is first read.
 
@@ -407,6 +487,72 @@ def test_each_ambient_tensor_is_evaluated_once(monkeypatch):
     quasi_local_momentum(geo, data, geo.sigma_scale)
     lapse_rhs(geo, data)
     assert not calls
+
+
+def counter_of(calls):
+    """``counted(name, fn)`` wraps ``fn`` to add one to ``calls[name]`` per call."""
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    return counted
+
+
+def test_flow_velocity_evaluates_each_reference_once(monkeypatch):
+    """One flow velocity evaluates the model's ``g`` and ``dg``, the anchored ``gS`` and ``dgS``
+    and the domain check once each: the sphere's metric and ``kbar`` share that evaluation."""
+    from cmclab import models, physics
+
+    calls = Counter()
+    counted = counter_of(calls)
+    odd = perturbed_schwarzschild(M, 0.5, 0.1, "odd")
+    model = translated(replace(odd, _g=counted("g", odd._g), _dg=counted("dg", odd._dg)), (0.2, -0.1, 0.3))
+    evaluators = models._schwarzschild_evaluators
+
+    def counted_reference(mass):
+        gs, dgs, *rest = evaluators(mass)
+        return (counted("gS", gs), counted("dgS", dgs), *rest)
+
+    monkeypatch.setattr(models, "_schwarzschild_evaluators", counted_reference)
+    monkeypatch.setattr(MetricModel, "_check_domain", counted("domain", MetricModel._check_domain))
+    monkeypatch.setattr(physics, "quasi_local_momentum", counted("velocity", physics.quasi_local_momentum))
+    flow = artificial_flow_integrate(model, 32.0, tau_steps=1, band_limit=8)
+    assert np.all(np.isfinite(flow.centers))
+    n = calls["velocity"]
+    assert n == 4  # the four stages of one RK4 step
+    assert calls == {"velocity": n, "g": n, "dg": n, "gS": n, "dgS": n, "domain": n}
+
+
+def test_evolution_residual_evaluates_the_data_once(monkeypatch):
+    """One ``evolution_residual`` evaluates ``kbar``, ``kbar_deriv``, the momentum density and
+    the domain check once each; the record stays on the leaf geometry for that data set."""
+    from cmclab import physics
+
+    model = perturbed_schwarzschild(M, 0.5, 0.1, "odd")
+    leaf = solve_cmc(model, 32.0, CFG)
+    leaf.geometry.potential  # the ambient's d2g, which the lapse solve reads once
+    calls = Counter()
+    counted = counter_of(calls)
+    data = synthetic_data(model, delta=1.0, amplitude=1.0, direction=(0.6, 0.0, 0.8))
+    data = replace(data, _kbar=counted("kbar", data._kbar), _dkbar=counted("kbar_deriv", data._dkbar))
+    monkeypatch.setattr(physics, "momentum_density", counted("momentum_density", physics.momentum_density))
+    monkeypatch.setattr(MetricModel, "_check_domain", counted("domain", MetricModel._check_domain))
+    report = evolution_residual(leaf, data)
+    once = {"kbar": 1, "kbar_deriv": 1, "momentum_density": 1, "domain": 1}
+    assert calls == once
+    quasi_local_momentum(leaf.geometry, data, leaf.sigma)
+    lapse_rhs(leaf.geometry, data)
+    assert calls == once
+    # another data set on the same leaf gets its own record; the first is then rebuilt
+    evolution_residual(leaf, synthetic_data(model, delta=1.0, amplitude=2.0))
+    again = evolution_residual(leaf, data)
+    assert calls == {"kbar": 2, "kbar_deriv": 2, "momentum_density": 3, "domain": 3}
+    assert np.array_equal(again.center_velocity, report.center_velocity)
+    assert np.array_equal(again.prediction, report.prediction)
 
 
 def test_artificial_flow_builds_no_ricci_tensor(monkeypatch):

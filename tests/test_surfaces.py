@@ -358,7 +358,12 @@ def test_runtime_paths_read_no_dense_matrix(monkeypatch):
     assert leaf.iterations > 0
     assert max(abs(lam) for lam in leaf.eigenvalues) * leaf.sigma**2 <= 1e-12
     assert abs(solve_radial_lapse(leaf).field.values - 1.0).max() < 1e-12
-    # a constant trace kbar with a tilted lapse loads the flat translation modes
+    geo = leaf.geometry
+    # a degree-one source loads the flat translation modes
+    with pytest.raises(SolvabilityError):
+        geo.solve_operator(geo.grid.directions[:, 0], check_kernel_load=True)
+    # kbar = delta with a tilted lapse does not: the degree-one parts of its source,
+    # -alpha <k, kbar> = -alpha H and -(D_nu alpha) tr_Sigma kbar, cancel
     tilted = InitialDataModel(
         base=flat,
         _kbar=lambda x: np.broadcast_to(np.eye(3), x.shape[:-1] + (3, 3)),
@@ -366,9 +371,7 @@ def test_runtime_paths_read_no_dense_matrix(monkeypatch):
         _alpha=lambda x: 1.0 + 0.1 * x[..., 0],
         _dalpha=lambda x: np.broadcast_to([0.1, 0.0, 0.0], x.shape),
     )
-    with pytest.raises(SolvabilityError):
-        solve_lapse(leaf.geometry, tilted)
-    geo = leaf.geometry
+    assert np.all(np.isfinite(solve_lapse(geo, tilted).values))
     assert np.abs(geo.apply_operator(np.ones(geo.grid.n_nodes)) - 2.0 / leaf.sigma**2).max() < 1e-12
 
     model = perturbed_schwarzschild(1.0, 0.5, 0.1, "odd")
