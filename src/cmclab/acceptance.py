@@ -307,7 +307,7 @@ class AcceptanceSuite:
 
         # linearization order on a CMC coordinate sphere (normal graph = radial
         # graph up to the known conformal factor g(N, nu) = phi^2, the factor
-        # by which cmc._newton_loop turns its normal step into a radial one)
+        # by which each Newton step of cmc.solve_cmc turns its normal step into a radial one)
         r0 = 10.0
         sphere = SurfaceEmbedding.round_sphere(grid, r0)
         geo_s = compute_geometry(sphere, self.schw)

@@ -7,9 +7,10 @@ speed ``u``.  A radial displacement ``drho * N`` moves the surface with
 normal speed ``g(N, nu) drho`` (``(1 + m/2r)^2 drho`` on a centred
 Schwarzschild sphere), so the radial field takes the step ``u / g(N, nu)``
 and the iteration converges quadratically.  On the round Euclidean sphere
-it reduces to the classic 1-D iteration on ``r -> -2/r``.  The converged
-representation is re-centered so that the parametrization center
-coincides with the Euclidean coordinate centroid.
+it reduces to the classic 1-D iteration on ``r -> -2/r``.  After every
+step whose centroid has left the parametrization center, the surface is
+resampled about that centroid; the loop stops at the first convergence
+check that finds both the residual and the centroid within tolerance.
 """
 
 from __future__ import annotations
@@ -34,12 +35,9 @@ from .surfaces import (
 
 _log = logging.getLogger(__name__)
 
-#: the final re-centering loop stops once the centroid is this close to the
-#: parametrization center, relative to sigma
+#: a leaf's centroid lies this close to its parametrization center, relative
+#: to sigma; a Newton iterate whose centroid is farther away is resampled
 _CANONICAL_CENTER_TOL = 1e-9
-#: a Newton iterate is re-centered once its centroid drifts past this
-#: fraction of sigma from the parametrization center
-_RECENTER_FRACTION = 0.1
 #: continuation floor: leaves need sigma >= this factor times the mass
 _SIGMA_FLOOR_FACTOR = 8.0
 #: consecutive residual increases that abort a Newton loop
@@ -62,13 +60,13 @@ class SolverConfig:
     """Newton/continuation parameters.
 
     ``newton_tol`` bounds the scaled residual ``||H - H_sigma||_inf *
-    sigma^2``; ``max_newton`` caps the Newton iterations of each
-    re-centering round; ``compute_eigenvalues`` asks :func:`solve_cmc` for
-    the three lowest stability eigenvalues of each leaf.  Re-centering
-    triggers during the iteration once the centroid drifts past
-    ``_RECENTER_FRACTION * sigma`` and at the end until it is below
-    ``_CANONICAL_CENTER_TOL * sigma``; the published representation
-    therefore has its parametrization center on the Euclidean centroid.
+    sigma^2``; ``max_newton`` caps the Newton steps of a leaf;
+    ``compute_eigenvalues`` asks :func:`solve_cmc` for the three lowest
+    stability eigenvalues of each leaf.  Every Newton iterate whose centroid
+    lies farther than ``_CANONICAL_CENTER_TOL * sigma`` from its
+    parametrization center is resampled about the centroid, so the
+    published representation has its parametrization center on the
+    Euclidean centroid.
     """
 
     band_limit: int = 32
@@ -96,8 +94,9 @@ class CmcLeaf:
     lapses, eigenpairs) is evaluated on it.  It is left out of the record,
     of comparisons and of the repr.  ``newton_residuals`` is the scaled
     residual ``||H - H_sigma||_inf * sigma^2`` of every Newton convergence
-    check, in order, across re-centering rounds; its last entry is
-    ``residual``.
+    check, in order; its last entry is ``residual``, and a Newton step
+    separates each pair, so ``iterations`` is its length minus one.
+    ``recenters`` counts the iterates resampled about their centroid.
     """
 
     sigma: float
@@ -108,6 +107,7 @@ class CmcLeaf:
     geometry: SurfaceGeometry = field(repr=False, compare=False)
     eigenvalues: tuple | None = None
     newton_residuals: tuple = ()
+    recenters: int = 0
 
     @property
     def area_radius(self) -> float:
@@ -119,6 +119,7 @@ class CmcLeaf:
             "sigma": self.sigma,
             "residual": self.residual,
             "iterations": self.iterations,
+            "recenters": self.recenters,
             "newton_residuals": list(self.newton_residuals),
             "center": self.center.tolist(),
             "area_radius": self.area_radius,
@@ -163,8 +164,10 @@ def solve_cmc(
 
     The returned surface is re-centered: its parametrization center agrees
     with its Euclidean coordinate centroid to ``_CANONICAL_CENTER_TOL *
-    sigma``.  The leaf carries the geometry of the final Newton convergence
-    check and, as its center, the centroid of the final re-centering check.
+    sigma``.  The leaf carries the geometry and, as its center, the
+    centroid of the final convergence check.  Each Newton step solves
+    ``L u = H_target - H`` for the normal speed ``u`` and moves the radial
+    field by ``u / g(N, nu)``, the radial displacement of that normal speed.
     """
     config = config or SolverConfig()
     floor = _SIGMA_FLOOR_FACTOR * model.mass
@@ -180,56 +183,25 @@ def solve_cmc(
     else:
         surface = SurfaceEmbedding.round_sphere(grid, sigma, model.exclusion_center)
 
-    total_iters = 0
+    center_tol = _CANONICAL_CENTER_TOL * sigma
     history = []
-    for _ in range(8):
-        surface, iters, geo = _newton_loop(surface, model, h_target, sigma, config, history)
-        total_iters += iters
-        z = euclidean_center(surface)
-        if np.linalg.norm(z - surface.center) <= _CANONICAL_CENTER_TOL * sigma:
-            break
-        del geo  # stale once resampled; free it before the next loop builds more
-        surface = resample(surface, z)
-    else:
-        raise SolverError("re-centering loop did not stabilize")
-
-    residual = history[-1]
-    eigenvalues = None
-    if config.compute_eigenvalues:
-        pairs = low_eigenpairs(geo, n=3)
-        eigenvalues = tuple(lam for lam, _ in pairs)
-    return CmcLeaf(
-        sigma=float(sigma),
-        surface=surface,
-        residual=residual,
-        iterations=total_iters,
-        center=z,
-        geometry=geo,
-        eigenvalues=eigenvalues,
-        newton_residuals=tuple(history),
-    )
-
-
-def _newton_loop(surface, model, h_target, sigma, config, history):
-    """Newton iteration to tolerance; returns ``(surface, iterations, geometry)``.
-
-    ``geometry`` is the :class:`SurfaceGeometry` of the returned surface,
-    built for the convergence check.  The scaled residual of every
-    convergence check is appended to ``history``.  Each step solves
-    ``L u = H_target - H`` for the normal speed ``u`` and moves the radial
-    field by ``u / g(N, nu)``, the radial displacement of that normal speed.
-    """
-    grid = surface.grid
+    recenters = 0
     previous = np.inf
     increases = 0
-    for it in range(config.max_newton):
+    for step in range(config.max_newton + 1):
         geo = compute_geometry(surface, model)
         residual_field = h_target - geo.mean_curvature
         residual = float(np.abs(residual_field).max() * sigma**2)
         history.append(residual)
-        if residual <= config.newton_tol:
-            _log.debug("newton sigma=%g iter=%d residual=%.3e", sigma, it, residual)
-            return surface, it, geo
+        z = euclidean_center(surface)
+        if residual <= config.newton_tol and np.linalg.norm(z - surface.center) <= center_tol:
+            _log.debug("newton sigma=%g iter=%d residual=%.3e", sigma, step, residual)
+            break
+        if step == config.max_newton:
+            raise SolverError(
+                f"Newton did not reach tolerance {config.newton_tol:.1e} in "
+                f"{config.max_newton} iterations (residual {residual:.3e})"
+            )
         if residual > previous * (1.0 + 1e-12):
             increases += 1
             if increases >= _DIVERGENCE_PATIENCE:
@@ -241,25 +213,33 @@ def _newton_loop(surface, model, h_target, sigma, config, history):
             increases = 0
         previous = residual
         u, krylov = geo.weak_solve(residual_field)
-        _log.debug("newton sigma=%g iter=%d residual=%.3e krylov=%d", sigma, it, residual, krylov)
+        _log.debug("newton sigma=%g iter=%d residual=%.3e krylov=%d", sigma, step, residual, krylov)
         # g(N, nu): the normal speed of a unit radial step, positive on star-shaped surfaces
         speed = np.einsum("ni,ni->n", geo.normal_flat, grid.directions)
         du = grid.analyze_values(grid.synthesize_values(u) / speed)
         surface = surface.with_radius(surface.rho_coeffs + du)
         z = euclidean_center(surface)
-        if np.linalg.norm(z - surface.center) > _RECENTER_FRACTION * sigma:
+        if np.linalg.norm(z - surface.center) > center_tol:
             surface = resample(surface, z)
+            recenters += 1
             previous = np.inf  # resampling perturbs the residual benignly
             increases = 0
-    geo = compute_geometry(surface, model)
-    residual = float(np.abs(geo.mean_curvature - h_target).max() * sigma**2)
-    history.append(residual)
-    if residual > config.newton_tol:
-        raise SolverError(
-            f"Newton did not reach tolerance {config.newton_tol:.1e} in "
-            f"{config.max_newton} iterations (residual {residual:.3e})"
-        )
-    return surface, config.max_newton, geo
+
+    eigenvalues = None
+    if config.compute_eigenvalues:
+        pairs = low_eigenpairs(geo, n=3)
+        eigenvalues = tuple(lam for lam, _ in pairs)
+    return CmcLeaf(
+        sigma=float(sigma),
+        surface=surface,
+        residual=residual,
+        iterations=step,
+        center=z,
+        geometry=geo,
+        eigenvalues=eigenvalues,
+        newton_residuals=tuple(history),
+        recenters=recenters,
+    )
 
 
 def solve_foliation(model: MetricModel, sigmas, config: SolverConfig | None = None) -> FoliationResult:

@@ -66,6 +66,8 @@ _ALIASES = {
 
 
 def _reject_unknown(section: str, given: dict, allowed) -> None:
+    if not isinstance(given, dict):
+        raise ConfigurationError(f"{section} section must be a mapping")
     for key in given:
         if key not in allowed:
             candidates = list(allowed) + [a for a in _ALIASES if _ALIASES[a] in allowed]
@@ -80,16 +82,18 @@ def _require_range(section, key, value, check, description):
         raise ConfigurationError(f"{section}.{key} = {value!r} out of range ({description})")
 
 
-def _solver_value(key, value):
-    """``value`` as the type of the solver field ``key``; a failed or lossy conversion names it."""
-    kind = type(getattr(SolverConfig(), key))
+def _typed(section, key, value, kind, many=False):
+    """``value`` as ``kind``, or as a list of ``kind`` if ``many``; a failed or lossy conversion names the key."""
+    items = list(value) if many and isinstance(value, (list, tuple)) else [value]
     try:
-        converted = kind(value)
+        converted = [kind(v) for v in items]
     except (TypeError, ValueError):
         converted = None
-    if converted is None or (kind in (int, bool) and converted != value):
-        raise ConfigurationError(f"solver.{key} = {value!r} is not a valid {kind.__name__}")
-    return converted
+    shaped = not many or isinstance(value, (list, tuple))
+    if converted is None or not shaped or (kind in (int, bool) and converted != items):
+        what = f"list of {kind.__name__}" if many else kind.__name__
+        raise ConfigurationError(f"{section}.{key} = {value!r} is not a valid {what}")
+    return converted if many else converted[0]
 
 
 @dataclass
@@ -154,29 +158,26 @@ class ExperimentConfig:
 
 
 def _validate_model_spec(spec: dict) -> dict:
-    if not isinstance(spec, dict):
-        raise ConfigurationError("model section must be a mapping")
     _reject_unknown("model", spec, _MODEL_KEYS)
     kind = spec.get("kind", "schwarzschild")
     if kind not in _KINDS:
-        hint = difflib.get_close_matches(kind, _KINDS, n=1)
+        hint = difflib.get_close_matches(str(kind), _KINDS, n=1)
         suffix = f"; did you mean {hint[0]!r}?" if hint else ""
         raise ConfigurationError(f"model.kind = {kind!r} not recognized{suffix}")
+    number = {k: _typed("model", k, spec[k], float) for k in ("m", "tau", "epsilon", "delta", "A", "B") if k in spec}
     if "m" in spec and kind != "euclidean":
-        _require_range("model", "m", spec["m"], lambda v: v > 0, "mass must be positive")
+        _require_range("model", "m", number["m"], lambda v: v > 0, "mass must be positive")
     if "epsilon" in spec:
-        _require_range("model", "epsilon", spec["epsilon"], lambda v: v > 0, "decay rate must be positive")
+        _require_range("model", "epsilon", number["epsilon"], lambda v: v > 0, "decay rate must be positive")
     if "delta" in spec:
-        _require_range("model", "delta", spec["delta"], lambda v: 0 < v <= 1, "must lie in (0, 1]")
+        _require_range("model", "delta", number["delta"], lambda v: 0 < v <= 1, "must lie in (0, 1]")
     if "tau" in spec:
-        _require_range("model", "tau", spec["tau"], lambda v: 0 <= v <= 1, "must lie in [0, 1]")
+        _require_range("model", "tau", number["tau"], lambda v: 0 <= v <= 1, "must lie in [0, 1]")
     if "shape" in spec and spec["shape"] not in ("even", "odd"):
         raise ConfigurationError(f"model.shape = {spec['shape']!r}; choose 'even' or 'odd'")
     for key in ("a", "b"):
-        if key in spec:
-            vec = spec[key]
-            if not (isinstance(vec, (list, tuple)) and len(vec) == 3):
-                raise ConfigurationError(f"model.{key} must be a 3-vector")
+        if key in spec and len(_typed("model", key, spec[key], float, many=True)) != 3:
+            raise ConfigurationError(f"model.{key} must be a 3-vector")
     return dict(spec)
 
 
@@ -192,34 +193,34 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     run = raw.get("run", {})
     _reject_unknown("run", run, _RUN_KEYS)
     if "sigmas" in run:
-        sigmas = [float(s) for s in run["sigmas"]]
+        sigmas = _typed("run", "sigmas", run["sigmas"], float, many=True)
         _require_range("run", "sigmas", sigmas, lambda v: all(x > 0 for x in v), "positive radii")
         cfg.sigmas = sigmas
     if "band_limit" in run:
-        _require_range("run", "band_limit", run["band_limit"], lambda v: v >= 4, "band limit >= 4")
-        cfg.band_limit = int(run["band_limit"])
+        cfg.band_limit = _typed("run", "band_limit", run["band_limit"], int)
+        _require_range("run", "band_limit", cfg.band_limit, lambda v: v >= 4, "band limit >= 4")
     if "out" in run:
         cfg.out = str(run["out"])
 
     solver = raw.get("solver", {})
     _reject_unknown("solver", solver, _SOLVER_KEYS)
-    cfg.solver_overrides = {k: _solver_value(k, v) for k, v in solver.items()}
+    cfg.solver_overrides = {k: _typed("solver", k, v, type(getattr(SolverConfig(), k))) for k, v in solver.items()}
     cfg.solver_config()  # range checks name the offending solver field
 
     adm = raw.get("adm", {})
     _reject_unknown("adm", adm, _ADM_KEYS)
     if "radii" in adm:
-        radii = [float(r) for r in adm["radii"]]
+        radii = _typed("adm", "radii", adm["radii"], float, many=True)
         _require_range("adm", "radii", radii, lambda v: all(x > 0 for x in v), "positive radii")
         cfg.adm_radii = radii
 
     art = raw.get("artificial", {})
     _reject_unknown("artificial", art, _ARTIFICIAL_KEYS)
     if "tau_steps" in art:
-        _require_range("artificial", "tau_steps", art["tau_steps"], lambda v: v >= 1, ">= 1")
-        cfg.tau_steps = int(art["tau_steps"])
+        cfg.tau_steps = _typed("artificial", "tau_steps", art["tau_steps"], int)
+        _require_range("artificial", "tau_steps", cfg.tau_steps, lambda v: v >= 1, ">= 1")
     if "kbar_factor" in art:
-        cfg.kbar_factor = float(art["kbar_factor"])
+        cfg.kbar_factor = _typed("artificial", "kbar_factor", art["kbar_factor"], float)
 
     return cfg
 

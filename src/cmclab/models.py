@@ -118,12 +118,6 @@ class MetricModel:
     def metric_deriv2(self, x) -> np.ndarray:
         return self._d2g(self._check_domain(x))
 
-    def lapse(self, x) -> np.ndarray:
-        return self._alpha(self._check_domain(x))
-
-    def lapse_deriv(self, x) -> np.ndarray:
-        return self._dalpha(self._check_domain(x))
-
 
 @dataclass(frozen=True)
 class DataFields:
@@ -167,18 +161,6 @@ class InitialDataModel:
             return DataFields(self._kbar(x), self._dkbar(x), alpha(x), dalpha(x))
         g, dg, kb, dkb = self._joint(x)
         return DataFields(kb, dkb, alpha(x), dalpha(x), g, dg)
-
-    def kbar(self, x) -> np.ndarray:
-        return self.evaluate(x).kbar
-
-    def kbar_deriv(self, x) -> np.ndarray:
-        return self.evaluate(x).kbar_deriv
-
-    def lapse(self, x) -> np.ndarray:
-        return self.evaluate(x).lapse
-
-    def lapse_deriv(self, x) -> np.ndarray:
-        return self.evaluate(x).lapse_deriv
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +583,7 @@ def energy_density(data: InitialDataModel, x) -> np.ndarray:
     """Constraint energy density ``2 rho = S - |kbar|^2 + (tr kbar)^2``."""
     model = data.base
     ginv = _inverse_metric(model.metric(x))
-    kb = data.kbar(x)
+    kb = data.evaluate(x).kbar
     hbar = np.einsum("...ab,...ab->...", ginv, kb)
     ksq = np.einsum("...ac,...bd,...ab,...cd->...", ginv, ginv, kb, kb)
     return 0.5 * (scalar_curvature(model, x) - ksq + hbar**2)

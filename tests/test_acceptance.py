@@ -1,8 +1,8 @@
 """Acceptance suite: every exit criterion at its stated tolerance.
 
-The suite solves at band limit 32 and is the slowest part of the test
-run (about 11 s on 2 vCPUs); leaves are shared between criteria.  One pass/fail
-line is printed per criterion.
+The suite solves at band limit 32 (about 3 s of the test run on 2
+vCPUs); leaves are shared between criteria.  One pass/fail line is
+printed per criterion.
 """
 
 import pytest

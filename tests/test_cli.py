@@ -296,8 +296,39 @@ def test_solver_section_errors_exit_2_naming_the_key(tmp_path, capsys, setting):
     assert not out.with_suffix(".json").exists()
 
 
+@pytest.mark.parametrize(
+    "section, setting",
+    [
+        ("run", "band_limit: abc"),
+        ("run", "band_limit: 24.7"),
+        ("run", "sigmas: 16"),
+        ("model", "m: heavy"),
+        ("model", "kind: 5"),
+        ("model", "a: [1, 2, x]"),
+        ("adm", "radii: [32, x]"),
+        ("artificial", "tau_steps: 2.5"),
+        ("artificial", "kbar_factor: half"),
+    ],
+)
+def test_values_of_the_wrong_type_exit_2_naming_the_key(tmp_path, capsys, section, setting):
+    """A value that does not convert, or converts lossily, is a config error, not a traceback or a truncation."""
+    out = tmp_path / "run"
+    p = write_config(tmp_path, f"{section}:\n  {setting}\n")
+    assert main(["foliate", "--config", str(p), "--out", str(out), "--log", "quiet"]) == 2
+    key = setting.split(":")[0]
+    assert f"config error: {section}.{key} = " in capsys.readouterr().err
+    assert not out.with_suffix(".json").exists()
+
+
+@pytest.mark.parametrize("section", ["model", "run", "solver", "adm", "artificial"])
+def test_sections_that_are_not_mappings_exit_2_naming_the_section(tmp_path, capsys, section):
+    p = write_config(tmp_path, f"{section}: 5\n")
+    assert main(["foliate", "--config", str(p), "--out", str(tmp_path / "run"), "--log", "quiet"]) == 2
+    assert f"config error: {section} section must be a mapping" in capsys.readouterr().err
+
+
 def test_recenter_threshold_is_an_unknown_solver_key(tmp_path, capsys):
-    """The re-centering fraction is a solver constant, not a config key."""
+    """Re-centering has no threshold to set: every iterate off its centroid is resampled."""
     out = tmp_path / "run"
     p = write_config(tmp_path, f"solver:\n  recenter_threshold: 0.1\nrun:\n  band_limit: 8\n  out: {out}\n")
     assert main(["foliate", "--config", str(p), "--log", "quiet"]) == 2

@@ -13,6 +13,7 @@ from cmclab.errors import ConfigurationError, SolverError
 from cmclab.models import euclidean, perturbed_schwarzschild, schwarzschild, translated
 from cmclab.sphere import build_grid
 from cmclab.cmc import (
+    _CANONICAL_CENTER_TOL,
     SolverConfig,
     _check_nested,
     solve_cmc,
@@ -20,7 +21,7 @@ from cmclab.cmc import (
     solve_radial_lapse,
     target_mean_curvature,
 )
-from cmclab.surfaces import SurfaceEmbedding, compute_geometry, resample
+from cmclab.surfaces import SurfaceEmbedding, SurfaceGeometry, compute_geometry, euclidean_center, resample
 
 
 def schwarzschild_sphere_H(m, r):
@@ -370,39 +371,117 @@ def test_cold_solve_converges_quadratically(cold_leaves):
         assert leaf.iterations <= 4, (sigma, leaf.iterations)
 
 
-def newton_rounds(history, tol):
-    """Split a residual history into re-centering rounds; each ends at a check <= tol."""
-    rounds, current = [], []
-    for r in history:
-        current.append(r)
-        if r <= tol:
-            rounds.append(current)
-            current = []
-    assert not current, "the history ends at a converged check"
-    return rounds
+def traced_solve(monkeypatch, *args, **kwargs):
+    """``solve_cmc`` with its resample calls: ``(leaf, recentered, resamples)``.
+
+    ``recentered`` holds the index ``k`` of every Newton step, the one
+    between convergence checks ``k`` and ``k + 1``, that resampled its iterate.
+    """
+    from cmclab import cmc
+
+    events = []
+
+    def record(name, fn):
+        def wrapper(*a, **k):
+            events.append(name)
+            return fn(*a, **k)
+
+        return wrapper
+
+    with monkeypatch.context() as mp:
+        mp.setattr(cmc, "compute_geometry", record("geometry", cmc.compute_geometry))
+        mp.setattr(cmc, "resample", record("resample", cmc.resample))
+        leaf = solve_cmc(*args, **kwargs)
+    recentered, step = set(), -1
+    for name in events:
+        if name == "geometry":
+            step += 1
+        else:
+            recentered.add(step)
+    return leaf, recentered, events.count("resample")
 
 
-def test_newton_residual_history_is_quadratic(cold_leaves):
-    """``newton_residuals`` holds every convergence check; each round squares its residual.
+def test_newton_residual_history_is_quadratic(cold_leaves, monkeypatch):
+    """``newton_residuals`` holds every convergence check, one Newton step apart; each step squares the residual.
 
     Measured ratios ``r_{k+1} / r_k^2`` lie in 0.005-0.7 at sigma = 16-64;
-    below ``floor`` the residual is round-off and resampling noise.
+    below ``floor`` the residual is round-off.  A step that resamples its
+    iterate about the centroid also carries the resampling noise, at most
+    5.4e-11 here (4.8e-7 -> 5.4e-11 at sigma = 32), and is held to
+    ``newton_tol`` instead.  The Schwarzschild leaf is never resampled.
     """
     C, floor = 2.0, 1e-12
-    for sigma, leaf in cold_leaves.items():
+    kinds = set()
+    for model, sigma in ((QUADRATIC_MODEL, 16.0), (QUADRATIC_MODEL, 32.0), (schwarzschild(1.0), 32.0)):
+        leaf, recentered, _ = traced_solve(monkeypatch, model, sigma, CFG)
+        if model is QUADRATIC_MODEL:
+            assert leaf.newton_residuals == cold_leaves[sigma].newton_residuals
         history = leaf.newton_residuals
         assert history[-1] == leaf.residual <= CFG.newton_tol
-        rounds = newton_rounds(history, CFG.newton_tol)
-        # every check but the last of each round is followed by a Newton step
-        assert len(history) - len(rounds) == leaf.iterations
-        for residuals in rounds:
-            for r, r_next in zip(residuals, residuals[1:]):
-                assert r_next <= max(C * r**2, floor), (sigma, history)
+        assert len(history) - 1 == leaf.iterations
+        for k, (r, r_next) in enumerate(zip(history, history[1:])):
+            kinds.add(k in recentered)
+            bound = CFG.newton_tol if k in recentered else floor
+            assert r_next <= max(C * r**2, bound), (sigma, k, history)
         record = leaf.to_record()
         assert record["newton_residuals"] == list(history)
         assert record["iterations"] == leaf.iterations
-    again = solve_cmc(QUADRATIC_MODEL, 32.0, CFG)
-    assert again.newton_residuals == cold_leaves[32.0].newton_residuals
+    assert kinds == {True, False}
+
+
+def test_leaf_center_is_the_centroid_on_the_parametrization_center(cold_leaves):
+    """Cold, warm and off-center starts: ``center`` is the centroid, within ``_CANONICAL_CENTER_TOL * sigma`` of the grid center.
+
+    The off-center start is a solved leaf parametrized about a point 0.01 sigma
+    from its centroid.  Its residual (about 1e-10, resampling noise) already
+    meets a ``newton_tol`` of 1e-8, so only the centroid check keeps the loop
+    from returning it as it is.
+    """
+    warm = solve_foliation(QUADRATIC_MODEL, [16.0, 32.0, 64.0], CFG).leaves
+    loose = dataclasses.replace(CFG, newton_tol=1e-8)
+    shifted = []
+    for sigma, cold in cold_leaves.items():
+        initial = resample(cold.surface, cold.surface.center + [0.01 * sigma, 0.0, 0.0])
+        shifted.append(solve_cmc(QUADRATIC_MODEL, sigma, loose, initial=initial))
+        assert shifted[-1].newton_residuals[0] <= loose.newton_tol
+    for leaf in list(cold_leaves.values()) + warm + shifted:
+        assert np.array_equal(leaf.center, euclidean_center(leaf.surface))
+        assert np.linalg.norm(leaf.center - leaf.surface.center) <= _CANONICAL_CENTER_TOL * leaf.sigma
+
+
+def test_recenters_counts_the_resampled_iterates(cold_leaves, monkeypatch):
+    """Schwarzschild leaves are never resampled; cold translated odd leaves are, once per resample call."""
+    for leaf in solve_foliation(schwarzschild(1.0), [8.0, 16.0, 32.0], CFG).leaves:
+        assert leaf.recenters == 0
+    for sigma, cold in cold_leaves.items():
+        assert cold.recenters >= 1
+        leaf, _, resamples = traced_solve(monkeypatch, QUADRATIC_MODEL, sigma, CFG)
+        assert leaf.recenters == resamples == cold.recenters
+        assert leaf.to_record()["recenters"] == resamples
+
+
+def test_divergence_guard_fails_the_leaf(monkeypatch):
+    """Newton steps of the wrong sign raise the residual; three increases in a row fail each leaf."""
+    weak_solve = SurfaceGeometry.weak_solve
+
+    def backwards(self, rhs_values, check_kernel_load=False):
+        u, krylov = weak_solve(self, rhs_values, check_kernel_load)
+        return -u, krylov
+
+    monkeypatch.setattr(SurfaceGeometry, "weak_solve", backwards)
+    config = SolverConfig(band_limit=12, compute_eigenvalues=False)
+    failures = solve_foliation(schwarzschild(1.0), [16.0, 32.0], config).failures
+    assert [(f["sigma"], f["kind"]) for f in failures] == [(16.0, "DivergenceError"), (32.0, "DivergenceError")]
+    assert all("residual increased 3 consecutive steps" in f["error"] for f in failures)
+
+
+def test_max_newton_caps_the_steps_of_a_leaf():
+    """A cold odd-perturbed leaf at sigma = 32 takes 3 Newton steps: a cap of 2 fails it, 3 suffices."""
+    model = perturbed_schwarzschild(1.0, 0.5, 0.1, "odd")
+    with pytest.raises(SolverError, match="in 2 iterations"):
+        solve_cmc(model, 32.0, dataclasses.replace(CFG, max_newton=2))
+    leaf = solve_cmc(model, 32.0, dataclasses.replace(CFG, max_newton=3))
+    assert leaf.iterations == 3 and leaf.residual <= CFG.newton_tol
 
 
 def test_newton_jacobian_matches_finite_differences(cold_leaves):

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,7 +39,8 @@ def momentum_density_at(data, x):
     g = data.base.metric(x)
     ginv = np.linalg.inv(g)
     dg = data.base.metric_deriv(x)
-    return momentum_density(g, ginv, dg, _christoffel_from(ginv, dg), data.kbar(x), data.kbar_deriv(x))
+    fields = data.evaluate(x)
+    return momentum_density(g, ginv, dg, _christoffel_from(ginv, dg), fields.kbar, fields.kbar_deriv)
 
 
 def sample_points(rng, n=100, rmin=5.0, rmax=40.0):
@@ -90,7 +92,7 @@ def test_small_mass_limit_is_euclidean():
     x = np.array([3.0, 4.0, 0.0])
     assert np.allclose(flat.metric(x), np.eye(3))
     assert np.allclose(flat.metric_deriv(x), 0)
-    assert flat.lapse(x) == pytest.approx(1.0)
+    assert time_symmetric_data(flat).evaluate(x).lapse == pytest.approx(1.0)
 
 
 def test_schwarzschild_rejects_nonpositive_mass():
@@ -308,11 +310,11 @@ class AnisotropicData:
         self.c = 0.5 * sym(rng.standard_normal((3, 3)))
         self.u = rng.standard_normal(3)
 
-    def kbar(self, x):
-        return self.k0 + np.einsum("...m,mij->...ij", x, self.k1) + np.cos(x @ self.u)[..., None, None] * self.c
-
-    def kbar_deriv(self, x):
-        return self.k1 - np.sin(x @ self.u)[..., None, None, None] * self.u[:, None, None] * self.c
+    def evaluate(self, x):
+        return SimpleNamespace(
+            kbar=self.k0 + np.einsum("...m,mij->...ij", x, self.k1) + np.cos(x @ self.u)[..., None, None] * self.c,
+            kbar_deriv=self.k1 - np.sin(x @ self.u)[..., None, None, None] * self.u[:, None, None] * self.c,
+        )
 
 
 def test_ricci_matches_fd_of_christoffel_on_anisotropic_metric():
@@ -415,11 +417,11 @@ def test_time_symmetric_data_has_zero_momentum_density():
 def test_synthetic_kbar_values_and_homogeneity():
     data = synthetic_data(schwarzschild(1.0), delta=1.0, amplitude=1.0, direction=(1, 0, 0))
     x = np.array([10.0, 0.0, 0.0])
-    kb = data.kbar(x)
+    kb = data.evaluate(x).kbar
     assert kb[0, 0] == pytest.approx(0.02, rel=1e-13)
     assert np.allclose(kb, kb.T)
     y = np.array([4.0, 7.0, -3.0])
-    k1, k2 = data.kbar(y), data.kbar(2 * y)
+    k1, k2 = data.evaluate(y).kbar, data.evaluate(2 * y).kbar
     mask = np.abs(k1) > 1e-12
     assert np.allclose(k2[mask] / k1[mask], 2.0 ** -(1 + 1.0), rtol=1e-12)
 
@@ -432,8 +434,8 @@ def test_synthetic_kbar_derivative_matches_fd():
     for l in range(3):
         e = np.zeros(3)
         e[l] = h
-        fd[..., l, :, :] = (data.kbar(x + e) - data.kbar(x - e)) / (2 * h)
-    assert np.abs(data.kbar_deriv(x) - fd).max() < 1e-8
+        fd[..., l, :, :] = (data.evaluate(x + e).kbar - data.evaluate(x - e).kbar) / (2 * h)
+    assert np.abs(data.evaluate(x).kbar_deriv - fd).max() < 1e-8
 
 
 def assert_momentum_density_matches_fd_divergence(data, x, h):
@@ -442,7 +444,7 @@ def assert_momentum_density_matches_fd_divergence(data, x, h):
 
     def pi_at(y):
         g = model.metric(y)
-        kb = data.kbar(y)
+        kb = data.evaluate(y).kbar
         hbar = np.einsum("...ab,...ab->...", np.linalg.inv(g), kb)
         return hbar[..., None, None] * g - kb
 
@@ -521,9 +523,9 @@ def test_interpolated_metric_evaluates_each_end_once(monkeypatch):
 def test_artificial_data_on_schwarzschild_is_trivial():
     data = artificial_data(schwarzschild(1.0), tau=0.5)
     x = sample_points(np.random.default_rng(8), n=5)
-    assert np.abs(data.kbar(x)).max() == 0.0
-    assert np.abs(data.kbar_deriv(x)).max() == 0.0
-    assert np.all(data.lapse(x) == 1.0)
+    assert np.abs(data.evaluate(x).kbar).max() == 0.0
+    assert np.abs(data.evaluate(x).kbar_deriv).max() == 0.0
+    assert np.all(data.evaluate(x).lapse == 1.0)
 
 
 def test_artificial_data_factor_and_metric():
@@ -533,7 +535,7 @@ def test_artificial_data_factor_and_metric():
     for factor in (0.5, 2.0):
         data = artificial_data(model, tau=0.6, factor=factor)
         expect = factor * (gs.metric(x) - model.metric(x))
-        assert np.allclose(data.kbar(x), expect, atol=1e-15)
+        assert np.allclose(data.evaluate(x).kbar, expect, atol=1e-15)
     tau = 0.6
     ambient = data.base.metric(x)
     assert np.allclose(ambient, gs.metric(x) + tau * (model.metric(x) - gs.metric(x)))
@@ -604,8 +606,8 @@ def test_decay_validator_on_initial_data():
 def test_synthetic_data_zero_amplitude_is_time_symmetric():
     data = synthetic_data(schwarzschild(1.0), delta=1.0, amplitude=0.0)
     x = np.array([[10.0, 0.0, 0.0]])
-    assert np.abs(data.kbar(x)).max() == 0.0
-    assert np.abs(data.kbar_deriv(x)).max() == 0.0
+    assert np.abs(data.evaluate(x).kbar).max() == 0.0
+    assert np.abs(data.evaluate(x).kbar_deriv).max() == 0.0
 
 
 # The term-by-term metric formulas the conformal evaluators replaced: every additive
