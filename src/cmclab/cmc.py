@@ -11,6 +11,12 @@ it reduces to the classic 1-D iteration on ``r -> -2/r``.  After every
 step whose centroid has left the parametrization center, the surface is
 resampled about that centroid; the loop stops at the first convergence
 check that finds both the residual and the centroid within tolerance.
+
+The one Newton loop runs on two band limits (nested iteration): first on
+the ``_COARSE_BAND_LIMIT`` grid, where a geometry build costs a fraction of
+one at the full band limit, then on the full grid from the coarse iterate,
+whose coefficients are padded exactly.  Leaves are smooth enough that the
+padded iterate usually meets the full-grid tolerance at its first check.
 """
 
 from __future__ import annotations
@@ -40,6 +46,9 @@ _log = logging.getLogger(__name__)
 _CANONICAL_CENTER_TOL = 1e-9
 #: continuation floor: leaves need sigma >= this factor times the mass
 _SIGMA_FLOOR_FACTOR = 8.0
+#: band limit of a leaf's first Newton pass; its iterate, padded to the full
+#: band limit, starts the Newton pass there
+_COARSE_BAND_LIMIT = 8
 #: consecutive residual increases that abort a Newton loop
 _DIVERGENCE_PATIENCE = 3
 
@@ -60,7 +69,8 @@ class SolverConfig:
     """Newton/continuation parameters.
 
     ``newton_tol`` bounds the scaled residual ``||H - H_sigma||_inf *
-    sigma^2``; ``max_newton`` caps the Newton steps of a leaf;
+    sigma^2``; ``max_newton`` caps the Newton steps of a leaf, at both band
+    limits together;
     ``compute_eigenvalues`` asks :func:`solve_cmc` for the three lowest
     stability eigenvalues of each leaf.  Every Newton iterate whose centroid
     lies farther than ``_CANONICAL_CENTER_TOL * sigma`` from its
@@ -94,9 +104,13 @@ class CmcLeaf:
     lapses, eigenpairs) is evaluated on it.  It is left out of the record,
     of comparisons and of the repr.  ``newton_residuals`` is the scaled
     residual ``||H - H_sigma||_inf * sigma^2`` of every Newton convergence
-    check, in order; its last entry is ``residual``, and a Newton step
-    separates each pair, so ``iterations`` is its length minus one.
-    ``recenters`` counts the iterates resampled about their centroid.
+    check, in order, and ``newton_band_limits`` the band limit of each
+    check; its last entry is ``residual``, at the full band limit.  A Newton
+    step separates consecutive checks at one band limit; the handover from
+    the coarse grid to the full one takes no step.  ``iterations`` counts
+    the Newton steps at both band limits and ``krylov_iterations`` holds the
+    GMRES iteration count of each, in order.  ``recenters`` counts the
+    iterates resampled about their centroid.
     """
 
     sigma: float
@@ -108,6 +122,8 @@ class CmcLeaf:
     eigenvalues: tuple | None = None
     newton_residuals: tuple = ()
     recenters: int = 0
+    newton_band_limits: tuple = ()
+    krylov_iterations: tuple = ()
 
     @property
     def area_radius(self) -> float:
@@ -121,6 +137,8 @@ class CmcLeaf:
             "iterations": self.iterations,
             "recenters": self.recenters,
             "newton_residuals": list(self.newton_residuals),
+            "newton_band_limits": list(self.newton_band_limits),
+            "krylov_iterations": list(self.krylov_iterations),
             "center": self.center.tolist(),
             "area_radius": self.area_radius,
             "surface": self.surface.to_record(),
@@ -168,6 +186,21 @@ def solve_cmc(
     centroid of the final convergence check.  Each Newton step solves
     ``L u = H_target - H`` for the normal speed ``u`` and moves the radial
     field by ``u / g(N, nu)``, the radial displacement of that normal speed.
+
+    The loop first runs on the band limit ``min(L, _COARSE_BAND_LIMIT)``,
+    from the round sphere or from ``initial`` truncated to it, with the same
+    step and re-centering.  That coarse pass stops at the first check that
+    is converged and centered, or whose residual is not below the previous
+    check's (re-centering an L = 8 graph leaves a truncation floor of about
+    1e-10-1e-7), or when the ``max_newton`` steps are spent, and hands its
+    last decreasing iterate to the full band limit ``L``; a coarse pass that
+    raises :class:`SolverError` or :class:`DomainError`, or takes no
+    decreasing step, hands over the start itself.  The coarse pass never
+    raises.  At ``L`` the loop runs with the divergence guard, with
+    ``max_newton`` capping the steps of both passes together, until the
+    residual is within ``newton_tol`` and the centroid within
+    ``_CANONICAL_CENTER_TOL * sigma``; eigenvalues are computed on the final
+    full-band-limit geometry.
     """
     config = config or SolverConfig()
     floor = _SIGMA_FLOOR_FACTOR * model.mass
@@ -179,51 +212,76 @@ def solve_cmc(
     grid = build_grid(config.band_limit)
     h_target = target_mean_curvature(sigma, model.mass)
     if initial is not None:
-        surface = initial if initial.grid is grid else resample(initial, initial.center, grid)
+        start = initial.on_grid(grid)
     else:
-        surface = SurfaceEmbedding.round_sphere(grid, sigma, model.exclusion_center)
+        start = SurfaceEmbedding.round_sphere(grid, sigma, model.exclusion_center)
+    surface = start.on_grid(build_grid(min(config.band_limit, _COARSE_BAND_LIMIT)))
 
     center_tol = _CANONICAL_CENTER_TOL * sigma
-    history = []
+    history, band_limits, krylov_counts = [], [], []
     recenters = 0
+    # the coarse pass's last decreasing iterate and its previous check's residual
+    handover, last = start, np.inf
     previous = np.inf
     increases = 0
-    for step in range(config.max_newton + 1):
-        geo = compute_geometry(surface, model)
-        residual_field = h_target - geo.mean_curvature
-        residual = float(np.abs(residual_field).max() * sigma**2)
-        history.append(residual)
-        z = euclidean_center(surface)
-        if residual <= config.newton_tol and np.linalg.norm(z - surface.center) <= center_tol:
-            _log.debug("newton sigma=%g iter=%d residual=%.3e", sigma, step, residual)
-            break
-        if step == config.max_newton:
-            raise SolverError(
-                f"Newton did not reach tolerance {config.newton_tol:.1e} in "
-                f"{config.max_newton} iterations (residual {residual:.3e})"
-            )
-        if residual > previous * (1.0 + 1e-12):
-            increases += 1
-            if increases >= _DIVERGENCE_PATIENCE:
-                raise DivergenceError(
-                    f"residual increased {increases} consecutive steps "
-                    f"(now {residual:.3e})"
+    while True:
+        level = surface.grid
+        coarse = level is not grid
+        try:
+            geo = compute_geometry(surface, model)
+            residual_field = h_target - geo.mean_curvature
+            residual = float(np.abs(residual_field).max() * sigma**2)
+            history.append(residual)
+            band_limits.append(level.band_limit)
+            z = euclidean_center(surface)
+            converged = residual <= config.newton_tol and np.linalg.norm(z - surface.center) <= center_tol
+            step = len(krylov_counts)
+            if coarse:  # a rise ends the coarse pass before the divergence guard sees it
+                if residual < last < np.inf:
+                    handover = surface
+                if converged or residual >= last or step == config.max_newton:
+                    surface, previous = handover.on_grid(grid), np.inf
+                    continue
+                last = residual
+            if converged:
+                _log.debug("newton sigma=%g L=%d iter=%d residual=%.3e", sigma, grid.band_limit, step, residual)
+                break
+            if step == config.max_newton:
+                raise SolverError(
+                    f"Newton did not reach tolerance {config.newton_tol:.1e} in "
+                    f"{config.max_newton} iterations (residual {residual:.3e})"
                 )
-        else:
-            increases = 0
-        previous = residual
-        u, krylov = geo.weak_solve(residual_field)
-        _log.debug("newton sigma=%g iter=%d residual=%.3e krylov=%d", sigma, step, residual, krylov)
-        # g(N, nu): the normal speed of a unit radial step, positive on star-shaped surfaces
-        speed = np.einsum("ni,ni->n", geo.normal_flat, grid.directions)
-        du = grid.analyze_values(grid.synthesize_values(u) / speed)
-        surface = surface.with_radius(surface.rho_coeffs + du)
-        z = euclidean_center(surface)
-        if np.linalg.norm(z - surface.center) > center_tol:
-            surface = resample(surface, z)
-            recenters += 1
-            previous = np.inf  # resampling perturbs the residual benignly
-            increases = 0
+            if residual > previous * (1.0 + 1e-12):
+                increases += 1
+                if increases >= _DIVERGENCE_PATIENCE:
+                    raise DivergenceError(
+                        f"residual increased {increases} consecutive steps "
+                        f"(now {residual:.3e})"
+                    )
+            else:
+                increases = 0
+            previous = residual
+            u, krylov = geo.weak_solve(residual_field)
+            krylov_counts.append(krylov)
+            _log.debug(
+                "newton sigma=%g L=%d iter=%d residual=%.3e krylov=%d",
+                sigma, level.band_limit, step, residual, krylov,
+            )
+            # g(N, nu): the normal speed of a unit radial step, positive on star-shaped surfaces
+            speed = np.einsum("ni,ni->n", geo.normal_flat, level.directions)
+            du = level.analyze_values(level.synthesize_values(u) / speed)
+            surface = surface.with_radius(surface.rho_coeffs + du)
+            z = euclidean_center(surface)
+            if np.linalg.norm(z - surface.center) > center_tol:
+                surface = resample(surface, z)
+                recenters += 1
+                previous = np.inf  # resampling perturbs the residual benignly
+                increases = 0
+        except (SolverError, DomainError, ConfigurationError):  # the last: a radial field <= 0
+            if not coarse:
+                raise
+            # a failed coarse pass leaves the leaf to the full grid from its start
+            surface, previous = start, np.inf
 
     eigenvalues = None
     if config.compute_eigenvalues:
@@ -233,12 +291,14 @@ def solve_cmc(
         sigma=float(sigma),
         surface=surface,
         residual=residual,
-        iterations=step,
+        iterations=len(krylov_counts),
         center=z,
         geometry=geo,
         eigenvalues=eigenvalues,
         newton_residuals=tuple(history),
         recenters=recenters,
+        newton_band_limits=tuple(band_limits),
+        krylov_iterations=tuple(krylov_counts),
     )
 
 

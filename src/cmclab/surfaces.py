@@ -123,6 +123,19 @@ class SurfaceEmbedding:
     def with_radius(self, coeffs: np.ndarray) -> "SurfaceEmbedding":
         return SurfaceEmbedding(self.grid, self.center, coeffs)
 
+    def on_grid(self, grid: SphericalGrid) -> "SurfaceEmbedding":
+        """The radial graph at another band limit, about the same center.
+
+        The flat coefficient layout is degree-major, so padding with zeros
+        (or truncating) is an exact band-limited restatement.
+        """
+        if grid is self.grid:
+            return self
+        coeffs = np.zeros(grid.n_coeffs)
+        n = min(grid.n_coeffs, self.grid.n_coeffs)
+        coeffs[:n] = self.rho_coeffs[:n]
+        return SurfaceEmbedding(grid, self.center, coeffs)
+
     # -- serialization ----------------------------------------------------
 
     def to_record(self) -> dict:
@@ -617,14 +630,7 @@ def resample(
     new_center = np.asarray(new_center, dtype=float).reshape(3)
     d = new_center - surface.center
     if np.all(d == 0):
-        if grid is surface.grid:
-            return surface
-        # pure regrid: the flat coefficient layout is degree-major, so
-        # padding/truncating is an exact band-limited restatement
-        coeffs = np.zeros(grid.n_coeffs)
-        n = min(grid.n_coeffs, surface.grid.n_coeffs)
-        coeffs[:n] = surface.rho_coeffs[:n]
-        return SurfaceEmbedding(grid, new_center, coeffs)
+        return surface.on_grid(grid)
     N = grid.directions
     rho_scale = float(surface.radius_values.mean())
     t = np.full(grid.n_nodes, rho_scale)

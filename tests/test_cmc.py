@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from cmclab.errors import ConfigurationError, SolverError
+from cmclab.errors import ConfigurationError, DomainError, SolverError
 from cmclab.models import euclidean, perturbed_schwarzschild, schwarzschild, translated
 from cmclab.sphere import build_grid
 from cmclab.cmc import (
     _CANONICAL_CENTER_TOL,
+    _COARSE_BAND_LIMIT,
     SolverConfig,
     _check_nested,
     solve_cmc,
@@ -209,7 +210,10 @@ def test_indefinite_ambient_metric_is_a_domain_error_leaf():
 
 
 def test_newton_debug_line_reports_krylov_iterations(caplog):
-    """Every Newton step, positive mass or flat, logs its GMRES iteration count."""
+    """Every Newton step, positive mass or flat, at either band limit, logs its GMRES iteration count.
+
+    ``krylov_iterations`` holds the same counts, one per step, in its record too.
+    """
     cases = [
         (perturbed_schwarzschild(1.0, 0.5, 0.1, "odd"), 16.0, None),
         (euclidean(), 4.0, SurfaceEmbedding.round_sphere(build_grid(16), 3.0)),
@@ -222,6 +226,8 @@ def test_newton_debug_line_reports_krylov_iterations(caplog):
         assert leaf.iterations > 0 and len(steps) == leaf.iterations
         for line in steps:
             assert re.search(r"krylov=\d+$", line), line
+        logged = [int(line.rsplit("krylov=", 1)[1]) for line in steps]
+        assert logged == list(leaf.krylov_iterations) == leaf.to_record()["krylov_iterations"]
 
 
 def test_foliation_nested_on_perturbed_model():
@@ -402,12 +408,15 @@ def traced_solve(monkeypatch, *args, **kwargs):
 
 
 def test_newton_residual_history_is_quadratic(cold_leaves, monkeypatch):
-    """``newton_residuals`` holds every convergence check, one Newton step apart; each step squares the residual.
+    """``newton_residuals`` holds every convergence check, one Newton step apart at each band limit; each step squares the residual.
 
-    Measured ratios ``r_{k+1} / r_k^2`` lie in 0.005-0.7 at sigma = 16-64;
-    below ``floor`` the residual is round-off.  A step that resamples its
-    iterate about the centroid also carries the resampling noise, at most
-    5.4e-11 here (4.8e-7 -> 5.4e-11 at sigma = 32), and is held to
+    The checks run on the coarse grid first, then on the full one; the
+    handover between the two takes no step, and the quadratic bound holds
+    between checks at one band limit.  Here every coarse pass ends
+    converged, so its last check is not a stalled one.  Measured ratios
+    ``r_{k+1} / r_k^2`` lie in 0.005-0.7 at sigma = 16-64; below ``floor``
+    the residual is round-off.  A step that resamples its iterate about the
+    centroid also carries the resampling noise, and is held to
     ``newton_tol`` instead.  The Schwarzschild leaf is never resampled.
     """
     C, floor = 2.0, 1e-12
@@ -416,15 +425,20 @@ def test_newton_residual_history_is_quadratic(cold_leaves, monkeypatch):
         leaf, recentered, _ = traced_solve(monkeypatch, model, sigma, CFG)
         if model is QUADRATIC_MODEL:
             assert leaf.newton_residuals == cold_leaves[sigma].newton_residuals
-        history = leaf.newton_residuals
+        history, band_limits = leaf.newton_residuals, leaf.newton_band_limits
         assert history[-1] == leaf.residual <= CFG.newton_tol
-        assert len(history) - 1 == leaf.iterations
+        passes = [L for k, L in enumerate(band_limits) if k == 0 or band_limits[k - 1] != L]
+        assert passes == [_COARSE_BAND_LIMIT, CFG.band_limit]
+        assert len(history) - len(passes) == leaf.iterations
         for k, (r, r_next) in enumerate(zip(history, history[1:])):
+            if band_limits[k] != band_limits[k + 1]:
+                continue
             kinds.add(k in recentered)
             bound = CFG.newton_tol if k in recentered else floor
             assert r_next <= max(C * r**2, bound), (sigma, k, history)
         record = leaf.to_record()
         assert record["newton_residuals"] == list(history)
+        assert record["newton_band_limits"] == list(band_limits)
         assert record["iterations"] == leaf.iterations
     assert kinds == {True, False}
 
@@ -515,3 +529,82 @@ def test_newton_jacobian_matches_finite_differences(cold_leaves):
         assert 3.0 <= e1 / e2 <= 5.0
         miss = rel_error(u, 5e-3)
         assert 0.5 * sigma ** -1 <= miss <= 2.0 * sigma ** -1
+
+
+HANDOVER_SIGMAS = [8.0, 10.0, 12.0, 16.0]
+
+
+@pytest.mark.parametrize("band_limit", [16, 34])
+@pytest.mark.parametrize("amplitude", [0.5, 1.0])
+def test_coarse_pass_hands_strongly_perturbed_leaves_to_the_full_grid(amplitude, band_limit):
+    """Strong odd perturbations, far off center: every leaf meets the full-band-limit contract.
+
+    There the coarse residual stalls at 1e-10-1e-8, the truncation error of
+    re-centering an L = 8 graph, so the coarse pass must stop at the stall
+    and hand over its last decreasing iterate, not raise.
+    """
+    model = translated(perturbed_schwarzschild(1.0, 0.5, amplitude, "odd"), (0.3, -0.2, 0.4))
+    config = SolverConfig(band_limit=band_limit, compute_eigenvalues=False)
+    result = solve_foliation(model, HANDOVER_SIGMAS, config)
+    assert not result.failures
+    assert result.sigmas == HANDOVER_SIGMAS and result.nested is True
+    h_target = {sigma: target_mean_curvature(sigma, model.mass) for sigma in HANDOVER_SIGMAS}
+    for leaf in result.leaves:
+        assert leaf.surface.grid.band_limit == leaf.newton_band_limits[-1] == band_limit
+        assert leaf.newton_band_limits[0] == _COARSE_BAND_LIMIT
+        assert leaf.residual <= config.newton_tol
+        fresh = compute_geometry(leaf.surface, model).mean_curvature
+        assert np.abs(fresh - h_target[leaf.sigma]).max() * leaf.sigma**2 == leaf.residual
+        assert np.linalg.norm(leaf.center - leaf.surface.center) <= _CANONICAL_CENTER_TOL * leaf.sigma
+
+
+@pytest.mark.parametrize("error", [SolverError, DomainError])
+def test_failed_coarse_pass_hands_over_the_start(cold_leaves, monkeypatch, error):
+    """A coarse pass that raises leaves the leaf to the full grid from its own start: cold and warm."""
+    weak_solve = SurfaceGeometry.weak_solve
+
+    def refuse_coarse(self, rhs_values, check_kernel_load=False):
+        if self.grid.band_limit == _COARSE_BAND_LIMIT:
+            raise error("refused on the coarse grid")
+        return weak_solve(self, rhs_values, check_kernel_load)
+
+    monkeypatch.setattr(SurfaceGeometry, "weak_solve", refuse_coarse)
+    grid = build_grid(CFG.band_limit)
+    cold = SurfaceEmbedding.round_sphere(grid, 32.0, QUADRATIC_MODEL.exclusion_center)
+    warm = cold_leaves[16.0].surface
+    warm = SurfaceEmbedding(grid, warm.center, 2.0 * warm.rho_coeffs)
+    h_target = target_mean_curvature(32.0, QUADRATIC_MODEL.mass)
+    for initial in (None, warm):
+        leaf = solve_cmc(QUADRATIC_MODEL, 32.0, CFG, initial=initial)
+        assert leaf.newton_band_limits[0] == _COARSE_BAND_LIMIT
+        assert set(leaf.newton_band_limits[1:]) == {CFG.band_limit}
+        assert leaf.iterations == len(leaf.newton_residuals) - 2 == len(leaf.krylov_iterations)
+        start = compute_geometry(cold if initial is None else initial, QUADRATIC_MODEL)
+        assert leaf.newton_residuals[1] == np.abs(h_target - start.mean_curvature).max() * 32.0**2
+        assert leaf.residual <= CFG.newton_tol
+        assert np.linalg.norm(leaf.center - leaf.surface.center) <= _CANONICAL_CENTER_TOL * 32.0
+
+
+#: the odd-perturbed, translated model of the report gate (tools/report_delta.py)
+REPORT_GATE_MODEL = translated(perturbed_schwarzschild(1.0, 0.5, 0.1, "odd"), (0.21, -0.13, 0.37))
+
+
+def test_warm_sweep_checks_each_leaf_once_at_the_full_band_limit(monkeypatch):
+    """The padded coarse leaf already meets ``newton_tol`` at L = 24: one full-grid geometry per leaf."""
+    from cmclab import cmc
+
+    built = []
+
+    def record(surface, model):
+        built.append(surface.grid.band_limit)
+        return compute_geometry(surface, model)
+
+    monkeypatch.setattr(cmc, "compute_geometry", record)
+    config = SolverConfig(band_limit=24, compute_eigenvalues=False)
+    result = solve_foliation(REPORT_GATE_MODEL, [16.0, 32.0, 64.0], config)
+    assert result.sigmas == [16.0, 32.0, 64.0]
+    assert built.count(24) == len(result.leaves) == 3
+    for leaf in result.leaves:
+        assert leaf.newton_band_limits.count(24) == 1
+        assert leaf.to_record()["newton_band_limits"] == list(leaf.newton_band_limits)
+        assert leaf.residual <= config.newton_tol

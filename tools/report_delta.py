@@ -4,7 +4,7 @@
 Usage, from anywhere::
 
     python3 tools/report_delta.py OLD NEW [--stages foliate,momentum] [--band-limit 24]
-        [--newton-tol 1e-10] [--keep DIR] [--json FILE]
+        [--newton-tol 1e-10] [--exempt residual,newton_residuals] [--keep DIR] [--json FILE]
 
 ``OLD`` and ``NEW`` are source trees (directories holding ``src/cmclab``)
 or directories of manifests written earlier with ``--keep``.  For a source
@@ -19,14 +19,17 @@ For each stage the tool prints:
 
 * the worst field-scaled delta ``|new - old| / max|field|`` over every
   float, where a field is a manifest path with its list indices dropped
-  and ``max|field|`` runs over the old values of that field;
+  and ``max|field|`` runs over the old values of that field.  Floats of a
+  field that has a key named in ``--exempt`` (say ``residual``, which
+  exempts ``/reports/foliate/leaves/*/residual``) are left out of it;
 * every integer, string, boolean, null or list length that differs, and
   every field present on one side only, with its number of values.
 
 ``timings`` and the echo of the config are left out.  The exit status is 0
-when the two sides agree exactly, else 1.
+when the two sides agree exactly, exempt floats aside, else 1.
 ``--keep DIR`` stores the manifests of both sides under ``DIR/old`` and
-``DIR/new``; ``--json FILE`` writes the summary as JSON.
+``DIR/new``; ``--json FILE`` writes the summary as JSON, with the worst
+delta of every float field, exempt or not, under ``fields``.
 """
 
 from __future__ import annotations
@@ -110,14 +113,19 @@ def field_of(path: str) -> str:
     return re.sub(r"/\d+(?=/|$)", "/*", path)
 
 
-def compare(old: dict, new: dict) -> dict:
-    """Worst field-scaled float delta and every other mismatch between two manifests."""
+def compare(old: dict, new: dict, exempt=()) -> dict:
+    """Worst field-scaled float delta and every other mismatch between two manifests.
+
+    Fields with a key in ``exempt`` are left out of ``worst_delta``; ``fields``
+    maps every float field of ``old`` to its worst delta.
+    """
     a, b = flatten(old), flatten(new)
     scale: dict = {}
     for path, value in a.items():
         if isinstance(value, float):
             key = field_of(path)
             scale[key] = max(scale.get(key, 0.0), abs(value))
+    fields = dict.fromkeys(scale, 0.0)
     worst, worst_path, mismatches, one_sided = 0.0, None, [], Counter()
     for path in sorted(set(a) | set(b)):
         if path not in a or path not in b:
@@ -127,14 +135,16 @@ def compare(old: dict, new: dict) -> dict:
         if isinstance(x, float) and isinstance(y, float):
             if x == y or (math.isnan(x) and math.isnan(y)):
                 continue
-            field = scale[field_of(path)]
-            delta = abs(y - x) / field if field > 0 else abs(y - x)
-            if not delta <= worst:  # NaN or inf on one side counts as worst
+            key = field_of(path)
+            delta = abs(y - x) / scale[key] if scale[key] > 0 else abs(y - x)
+            if not delta <= fields[key]:  # NaN or inf on one side counts as worst
+                fields[key] = delta
+            if not delta <= worst and set(exempt).isdisjoint(key.split("/")):
                 worst, worst_path = delta, path
         elif type(x) is not type(y) or x != y:
             mismatches.append(f"{path}: {x!r} -> {y!r}")
     mismatches += [f"{field}: only in {side} ({n} values)" for (field, side), n in one_sided.items()]
-    return {"worst_delta": worst, "worst_path": worst_path, "mismatches": mismatches}
+    return {"worst_delta": worst, "worst_path": worst_path, "mismatches": mismatches, "fields": fields}
 
 
 def manifests(source: Path, stages, config_path: Path, scratch: Path) -> Path:
@@ -152,10 +162,12 @@ def main(argv=None) -> int:
     parser.add_argument("--stages", default=",".join(STAGES))
     parser.add_argument("--band-limit", type=int, default=24)
     parser.add_argument("--newton-tol", type=float, default=1e-10)
+    parser.add_argument("--exempt", default="", help="comma-separated field keys left out of the worst delta")
     parser.add_argument("--keep", type=Path, default=None)
     parser.add_argument("--json", type=Path, default=None)
     args = parser.parse_args(argv)
     stages = [s for s in args.stages.split(",") if s]
+    exempt = [key for key in args.exempt.split(",") if key]
     unknown = sorted(set(stages) - set(STAGES))
     if unknown:
         parser.error(f"unknown stages {unknown}; choose from {list(STAGES)}")
@@ -170,7 +182,7 @@ def main(argv=None) -> int:
         summary = {}
         for stage in stages:
             old, new = (json.loads((d / f"{stage}.json").read_text()) for d in (old_dir, new_dir))
-            row = compare(old, new)
+            row = compare(old, new, exempt)
             row["status"] = [old["status"].get(stage), new["status"].get(stage)]
             row["csv_identical"] = (old_dir / f"{stage}.csv").read_bytes() == (new_dir / f"{stage}.csv").read_bytes()
             summary[stage] = row
