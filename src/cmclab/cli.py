@@ -4,7 +4,8 @@ Every subcommand reads one YAML config (scalar keys overridable by flags),
 executes its pipeline, and writes a JSON manifest plus a CSV table under
 the output prefix.  All report numbers and CSV rows are deterministic for
 a fixed config; wall-clock timings live in a separate manifest field and
-are the only nondeterministic entries.
+are the only nondeterministic entries.  The manifest's ``environment``
+record names the BLAS library and the thread-count variables in force.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 import time
 from dataclasses import replace
@@ -34,6 +36,9 @@ from .physics import (
 )
 
 _log = logging.getLogger(__name__)
+
+#: thread-count variables recorded in the manifest (``CMCLAB_THREADS`` sets the others)
+THREAD_VARS = ("CMCLAB_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 SUBCOMMANDS = (
     "foliate",
@@ -293,6 +298,12 @@ _STAGES = {
 }
 
 
+def environment_record() -> dict:
+    """The BLAS library numpy was built with and the thread variables as this process sees them."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"blas": blas.get("name"), "threads": {var: os.environ.get(var) for var in THREAD_VARS}}
+
+
 def run_experiment(command: str, config: ExperimentConfig) -> tuple[dict, int]:
     """Execute one subcommand; returns (manifest, exit_status)."""
     manifest = {
@@ -300,6 +311,7 @@ def run_experiment(command: str, config: ExperimentConfig) -> tuple[dict, int]:
         "version": __version__,
         "command": command,
         "config": config.to_record(),
+        "environment": environment_record(),
         "reports": {},
         "status": {},
         "timings": {},

@@ -497,8 +497,8 @@ def _index_combination(dg):
     return np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg) - dg
 
 
-def _inverse_metric(g):
-    """Cofactor inverse of a stack of symmetric 3x3 metrics.
+def _inverse_and_det(g):
+    """Cofactor inverse and determinant of a stack of symmetric 3x3 metrics.
 
     Raises :class:`DomainError` unless every metric is positive definite:
     its leading minors ``g_00``, ``g_00 g_11 - g_01^2`` and ``det g`` must be positive.
@@ -509,7 +509,12 @@ def _inverse_metric(g):
     bad = ~((a > 0) & (cof[5] > 0) & (det > 0))
     if np.any(bad):
         raise DomainError(f"metric not positive definite at {np.count_nonzero(bad)} of {bad.size} points")
-    return np.moveaxis(cof[[0, 1, 2, 1, 3, 4, 2, 4, 5]] / det, 0, -1).reshape(g.shape)
+    return np.moveaxis(cof[[0, 1, 2, 1, 3, 4, 2, 4, 5]] / det, 0, -1).reshape(g.shape), det
+
+
+def _inverse_metric(g):
+    """Cofactor inverse of a stack of symmetric 3x3 metrics (see :func:`_inverse_and_det`)."""
+    return _inverse_and_det(g)[0]
 
 
 def _christoffel_from(ginv, dg):

@@ -172,7 +172,7 @@ def quasi_local_momentum(
     nu = geo.normal
     w = geo.weights_induced
     w_corr = geo.weights_euclidean
-    trace_term = np.einsum("n,nai,na->ni", rec.trace, geo.gbar, nu)
+    trace_term = rec.trace[:, None] * geo.normal_flat  # tr(kbar) g(nu, e_i)
     kbar_term = np.einsum("nai,na->ni", rec.kbar, nu)
     p_trace = -(w[:, None] * trace_term).sum(axis=0) / EIGHT_PI
     p_kbar = (w[:, None] * kbar_term).sum(axis=0) / EIGHT_PI
@@ -387,10 +387,13 @@ def artificial_flow_integrate(
         anchor if anchor is not None else model.exclusion_center, dtype=float
     ).reshape(3)
 
+    # every stage's sphere is this one translated, so they share its chart
+    origin_sphere = SurfaceEmbedding.round_sphere(grid, sigma)
+
     def velocity(tau: float, z: np.ndarray) -> np.ndarray:
         # one evaluation of the data gives the sphere's metric and the data record
         data = artificial_data(model, tau, factor=kbar_factor, anchor=anchor)
-        sphere = SurfaceEmbedding.round_sphere(grid, sigma, z)
+        sphere = origin_sphere.translate(z)
         fields = data.evaluate(sphere.positions)
         geo = SurfaceGeometry(sphere, data.base, (fields.metric, fields.metric_deriv))
         _record(geo, data, fields)

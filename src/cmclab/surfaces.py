@@ -17,6 +17,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -28,7 +29,7 @@ from .errors import (
     SolvabilityError,
     SolverError,
 )
-from .models import MetricModel, _christoffel_from, _inverse_metric, ricci
+from .models import MetricModel, _christoffel_from, _inverse_and_det, ricci
 from .sphere import ScalarField, SphericalGrid, build_grid
 
 __all__ = [
@@ -73,12 +74,25 @@ _RESAMPLE_MAX_ITER = 60
 _RESAMPLE_TOL = 1e-13
 
 
+class SurfaceChart(NamedTuple):
+    """Chart fields of a radial graph, shape (n,) or (n, 3); see :attr:`SurfaceEmbedding.chart`."""
+
+    rho_theta: np.ndarray
+    rho_phi: np.ndarray
+    tangents: np.ndarray  # (n, 2, 3): t_theta, t_phi
+    conormal: np.ndarray  # t_theta x t_phi
+    conormal_norm2: np.ndarray  # |t_theta x t_phi|^2 = det(t t^T)
+
+
 @dataclass(frozen=True)
 class SurfaceEmbedding:
     """Star-shaped closed surface: center plus radial graph coefficients.
 
     The canonical representation is spectral (``rho_coeffs``); node values
     are synthesized on demand.  This makes JSON serialization bit-exact.
+    ``radius_values`` and ``positions`` are built on first read, and so is
+    the :attr:`chart`, which depends on ``(grid, rho_coeffs)`` only:
+    :meth:`translate` hands it to the moved surface.
     """
 
     grid: SphericalGrid
@@ -117,8 +131,26 @@ class SurfaceEmbedding:
     def positions(self) -> np.ndarray:
         return self.center + self.radius_values[:, None] * self.grid.directions
 
+    @cached_property
+    def chart(self) -> SurfaceChart:
+        """``rho_theta``, ``rho_phi``, the tangents ``t_I = d_I (rho N)`` and the conormal.
+
+        Translation-invariant: it is the same for every center.
+        """
+        grid, c, rho = self.grid, self.rho_coeffs, self.radius_values
+        rho_t = grid.synthesize_values(c, dtheta=1)
+        rho_p = grid.synthesize_values(c, dphi=1)
+        N = grid.directions
+        t_th = rho_t[:, None] * N + rho[:, None] * grid.d_dir_dtheta
+        t_ph = rho_p[:, None] * N + rho[:, None] * grid.d_dir_dphi
+        n = np.cross(t_th, t_ph)
+        return SurfaceChart(rho_t, rho_p, np.stack([t_th, t_ph], axis=1), n, np.einsum("ni,ni->n", n, n))
+
     def translate(self, a) -> "SurfaceEmbedding":
-        return SurfaceEmbedding(self.grid, self.center + np.asarray(a, dtype=float), self.rho_coeffs)
+        """The same graph about ``center + a``; it shares this surface's :attr:`chart`."""
+        moved = SurfaceEmbedding(self.grid, self.center + np.asarray(a, dtype=float), self.rho_coeffs)
+        moved.__dict__["chart"] = self.chart
+        return moved
 
     def with_radius(self, coeffs: np.ndarray) -> "SurfaceEmbedding":
         return SurfaceEmbedding(self.grid, self.center, coeffs)
@@ -162,11 +194,20 @@ class SurfaceGeometry:
     """First/second fundamental forms and derived fields of one embedding.
 
     Instances are computed once by :func:`compute_geometry` and treated as
-    immutable; ``second_fund`` (``k``), ``mean_curvature``, ``|k|^2``, the
-    trace-free part of ``k``, ``Ric(nu, nu)``, the stability potential, the
-    l <= 1 Galerkin block and the operator's exact kernel are computed on
-    first use and cached, and so is the record of the initial data read on
-    the nodes (``data_cache``).  No solve reads the dense (test-oracle)
+    immutable.  The constructor builds what every reader needs: the
+    positions, the ambient metric ``gbar``, its derivative, inverse and
+    Christoffel symbols, the outward unit normal ``nu``, both area elements
+    (``weights_induced``, ``weights_euclidean``), ``area`` and
+    ``sigma_scale``.  The area elements come from the surface's conormal
+    ``n = t_theta x t_phi`` (:attr:`SurfaceEmbedding.chart`):
+    ``det(t t^T) = |n|^2`` and ``det(t gbar t^T) = det gbar * n gbar^-1 n``,
+    and ``nu`` is ``gbar^-1 n`` normalised.  The ``tangents``, the induced
+    metric ``a = t gbar t^T`` (``induced``), its inverse, ``normal_flat``,
+    ``second_fund`` (``k``), ``mean_curvature``, ``|k|^2``, the trace-free
+    part of ``k``, ``Ric(nu, nu)``, the stability potential, the l <= 1
+    Galerkin block and the operator's exact kernel are computed on first
+    use and cached, and so is the record of the initial data read on the
+    nodes (``data_cache``).  No solve reads the dense (test-oracle)
     matrices.
     """
 
@@ -176,65 +217,70 @@ class SurfaceGeometry:
         self.surface = surface
         self.model = model
         self.grid = grid
-        c = surface.rho_coeffs
-        rho = surface.radius_values
-        self._rho_t = rho_t = grid.synthesize_values(c, dtheta=1)
-        self._rho_p = rho_p = grid.synthesize_values(c, dphi=1)
-
-        N = grid.directions
+        chart = surface.chart
         self.positions = x = surface.positions
-        t_th = rho_t[:, None] * N + rho[:, None] * grid.d_dir_dtheta
-        t_ph = rho_p[:, None] * N + rho[:, None] * grid.d_dir_dphi
-        self.tangents = np.stack([t_th, t_ph], axis=1)  # (n, 2, 3)
 
         gbar, dgbar = metric if metric is not None else (model.metric(x), model.metric_deriv(x))
         self.gbar = gbar
         self.dgbar = dgbar
-        self.gbar_inv = _inverse_metric(gbar)
+        self.gbar_inv, det_g = _inverse_and_det(gbar)
         self.gamma_bar = _christoffel_from(self.gbar_inv, dgbar)
 
-        # induced metric t g t^T in the (theta, phi) chart and its Euclidean analogue t t^T
-        t_T = np.swapaxes(self.tangents, 1, 2)
-        a = self.tangents @ gbar @ t_T
-        a_e = self.tangents @ t_T
-        self.induced = a
-        det_a = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] ** 2
-        det_e = a_e[:, 0, 0] * a_e[:, 1, 1] - a_e[:, 0, 1] ** 2
+        # with the conormal n = t_theta x t_phi: det(t gbar t^T) = det gbar * n gbar^-1 n
+        nu = np.einsum("nij,nj->ni", self.gbar_inv, chart.conormal)
+        n_nu = np.einsum("ni,ni->n", chart.conormal, nu)
+        det_a = det_g * n_nu
         if det_a.min() <= 0:
             raise SolverError("induced metric degenerate: surface parametrization broke down")
-        inv = np.empty_like(a)
-        inv[:, 0, 0] = a[:, 1, 1]
-        inv[:, 1, 1] = a[:, 0, 0]
-        inv[:, 0, 1] = inv[:, 1, 0] = -a[:, 0, 1]
-        self.induced_inv = inv / det_a[:, None, None]
-
         sin_t = np.repeat(grid.sin_theta, grid.n_phi)
         self.weights_induced = grid.weights * np.sqrt(det_a) / sin_t
-        self.weights_euclidean = grid.weights * np.sqrt(det_e) / sin_t
+        self.weights_euclidean = grid.weights * np.sqrt(chart.conormal_norm2) / sin_t
         self.area = float(self.weights_induced.sum())
         self.sigma_scale = float(np.sqrt(self.area / (4.0 * np.pi)))
 
-        # outward unit normal: Euclidean cross product gives the conormal
-        n_flat = np.cross(t_th, t_ph)
-        nu = np.einsum("nij,nj->ni", self.gbar_inv, n_flat)
-        norm = np.sqrt(np.einsum("ni,nij,nj->n", nu, gbar, nu))
-        nu /= norm[:, None]
+        # outward unit normal: gbar^-1 n has gbar-norm^2 n gbar^-1 n
+        nu /= np.sqrt(n_nu)[:, None]
         outward = np.einsum("ni,ni->n", nu, x - surface.center)
         if np.mean(outward) < 0:
-            nu = -nu
-        if np.any(np.einsum("ni,ni->n", nu, x - surface.center) <= 0):
+            nu, outward = -nu, -outward
+        if np.any(outward <= 0):
             raise SolverError("normal orientation inconsistent: surface not star-shaped")
         self.normal = nu
-        self.normal_flat = np.einsum("nij,nj->ni", gbar, nu)
         #: ``(data, record)`` of the last initial data set read on these nodes
         #: (:func:`cmclab.physics.data_record`)
         self.data_cache = None
 
     @cached_property
+    def tangents(self) -> np.ndarray:
+        """Chart tangents ``t_I``, shape (n, 2, 3), from the surface's :attr:`~SurfaceEmbedding.chart`."""
+        return self.surface.chart.tangents
+
+    @cached_property
+    def induced(self) -> np.ndarray:
+        """Induced metric ``a_IJ = t_I gbar t_J`` in the (theta, phi) chart, shape (n, 2, 2)."""
+        t = self.tangents
+        return t @ self.gbar @ np.swapaxes(t, 1, 2)
+
+    @cached_property
+    def induced_inv(self) -> np.ndarray:
+        """``a^IJ`` by the 2x2 cofactor formula."""
+        a = self.induced
+        inv = np.empty_like(a)
+        inv[:, 0, 0] = a[:, 1, 1]
+        inv[:, 1, 1] = a[:, 0, 0]
+        inv[:, 0, 1] = inv[:, 1, 0] = -a[:, 0, 1]
+        return inv / (a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] ** 2)[:, None, None]
+
+    @cached_property
+    def normal_flat(self) -> np.ndarray:
+        """The normal's covector ``gbar nu``."""
+        return np.einsum("nij,nj->ni", self.gbar, self.normal)
+
+    @cached_property
     def second_derivs(self) -> np.ndarray:
         """Chart second derivatives ``x_IJ`` of the positions, shape (n, 2, 2, 3)."""
-        grid, c = self.grid, self.surface.rho_coeffs
-        rho, rho_t, rho_p = self.surface.radius_values, self._rho_t, self._rho_p
+        grid, c, chart = self.grid, self.surface.rho_coeffs, self.surface.chart
+        rho, rho_t, rho_p = self.surface.radius_values, chart.rho_theta, chart.rho_phi
         rho_tt = grid.synthesize_values(c, dtheta=2)
         rho_tp = grid.synthesize_values(c, dtheta=1, dphi=1)
         rho_pp = grid.synthesize_values(c, dphi=2)

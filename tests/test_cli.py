@@ -91,6 +91,22 @@ def test_foliate_manifest_and_csv(tmp_path):
     assert len(payload["reports"]["foliate"]["leaves"]) == 2
 
 
+def test_manifest_records_blas_and_thread_variables(tmp_path, monkeypatch):
+    """The ``environment`` record holds the BLAS name and each thread variable as the process sees it."""
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    manifest, _ = run_experiment("adm-center", small_config(tmp_path))
+    environment = json.loads((tmp_path / "run.json").read_text())["environment"]
+    assert environment == manifest["environment"]
+    assert environment["blas"] == np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    assert environment["threads"] == {
+        "CMCLAB_THREADS": os.environ.get("CMCLAB_THREADS"),
+        "OMP_NUM_THREADS": "3",
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "MKL_NUM_THREADS": None,
+    }
+
+
 def test_reports_are_bit_identical_across_runs(tmp_path):
     cfg = small_config(tmp_path)
     run_experiment("foliate", cfg)

@@ -11,6 +11,7 @@ from cmclab.errors import ModelError, SolvabilityError
 from cmclab.models import (
     InitialDataModel,
     MetricModel,
+    artificial_data,
     euclidean,
     perturbed_schwarzschild,
     schwarzschild,
@@ -558,8 +559,9 @@ def test_evolution_residual_evaluates_the_data_once(monkeypatch):
 def test_artificial_flow_builds_no_ricci_tensor(monkeypatch):
     """Flow velocities integrate momenta on round spheres; none reads the stability potential.
 
-    Nor the second fundamental form: a velocity synthesizes ``rho`` once for the
-    embedding and ``rho_theta``, ``rho_phi`` for the tangents, three syntheses in all.
+    Nor the second fundamental form: the flow synthesizes ``rho``, ``rho_theta`` and
+    ``rho_phi`` once for its sphere at the origin, and each velocity synthesizes only
+    ``rho`` for the positivity check of the translated sphere, which shares the chart.
     """
     from cmclab import physics, surfaces
 
@@ -582,7 +584,32 @@ def test_artificial_flow_builds_no_ricci_tensor(monkeypatch):
     assert np.all(np.isfinite(flow.centers))
     assert calls["ricci"] == 0
     assert calls["quasi_local_momentum"] == 4  # the four stages of one RK4 step
-    assert calls["synthesize_values"] == 3 * calls["quasi_local_momentum"]
+    assert calls["synthesize_values"] == 3 + calls["quasi_local_momentum"]
+
+
+def test_translated_flow_sphere_shares_its_chart_and_matches_a_fresh_sphere():
+    """``translate`` hands over the chart; the moved sphere is a fresh ``round_sphere`` bit for bit.
+
+    The flow builds its sphere once at the origin and translates it to each
+    stage's center, so every velocity must equal the one of a sphere built there.
+    """
+    grid = build_grid(12)
+    model = perturbed_schwarzschild(M, 0.5, 0.1, "odd")
+    data = artificial_data(model, 0.5, anchor=model.exclusion_center)
+    origin = SurfaceEmbedding.round_sphere(grid, 32.0)
+    for z in ([0.31, -0.17, 0.52], [-2.5, 1.25, 0.0]):
+        moved = origin.translate(z)
+        assert moved.chart is origin.chart
+        assert np.array_equal(moved.center, z)
+        fresh = SurfaceEmbedding.round_sphere(grid, 32.0, z)
+        assert np.array_equal(moved.positions, fresh.positions)
+        a, b = compute_geometry(moved, data.base), compute_geometry(fresh, data.base)
+        for name in ("weights_induced", "weights_euclidean", "normal"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert np.array_equal(
+            quasi_local_momentum(a, data, 32.0).pseudo_momentum,
+            quasi_local_momentum(b, data, 32.0).pseudo_momentum,
+        )
 
 
 @pytest.mark.parametrize("ambient", ["odd", "flat"])

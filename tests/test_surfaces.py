@@ -614,3 +614,105 @@ def test_euclidean_center_equivariance_property(shift):
     z0 = euclidean_center(s)
     z1 = euclidean_center(s.translate(a))
     assert np.abs(z1 - (z0 + a)).max() < 1e-10 * (1 + np.abs(a).max())
+
+
+class RippledMetric:
+    """``g(x) = g0 + s sin(w . x)`` with random symmetric ``g0``, ``s``: anisotropic, not conformally flat."""
+
+    def __init__(self, rng):
+        a = 0.5 * rng.standard_normal((3, 3))
+        self.g0 = a @ a.T + np.eye(3)
+        s = rng.standard_normal((3, 3))
+        self.s = 0.05 * (s + s.T)
+        self.w = 0.3 * rng.standard_normal(3)
+
+    def metric(self, x):
+        return self.g0 + np.sin(x @ self.w)[:, None, None] * self.s
+
+    def metric_deriv(self, x):
+        return np.cos(x @ self.w)[:, None, None, None] * self.w[:, None, None] * self.s
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.15), st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+def test_area_elements_and_normal_match_the_induced_metric_determinants(seed, bump, center):
+    """``|n|^2`` and ``det gbar * n gbar^-1 n`` equal ``det(t t^T)`` and ``det(t gbar t^T)``.
+
+    On random star-shaped band-limited graphs in an anisotropic metric; ``nu``
+    equals ``gbar^-1 n`` divided by its ``gbar``-norm ``sqrt(nu gbar nu)``.
+    """
+    rng = np.random.default_rng(seed)
+    grid = build_grid(8)
+    c = np.zeros(grid.n_coeffs)
+    low = (grid.coeff_l >= 1) & (grid.coeff_l <= 4)
+    c[low] = bump * rng.standard_normal(low.sum()) / np.sqrt(low.sum())
+    c[0] = np.sqrt(4 * np.pi)
+    surface = SurfaceEmbedding(grid, np.asarray(center), 5.0 * c)
+    field = RippledMetric(rng)
+    x = surface.positions
+    g = field.metric(x)
+    geo = SurfaceGeometry(surface, None, (g, field.metric_deriv(x)))
+
+    t = geo.tangents
+    sin_t = np.repeat(grid.sin_theta, grid.n_phi)
+
+    def area_weights(a):
+        return grid.weights * np.sqrt(a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] ** 2) / sin_t
+
+    t_T = np.swapaxes(t, 1, 2)
+    assert np.abs(geo.weights_induced / area_weights(t @ g @ t_T) - 1.0).max() <= 1e-13
+    assert np.abs(geo.weights_euclidean / area_weights(t @ t_T) - 1.0).max() <= 1e-13
+    nu = np.einsum("nij,nj->ni", np.linalg.inv(g), np.cross(t[:, 0], t[:, 1]))
+    nu /= np.sqrt(np.einsum("ni,nij,nj->n", nu, g, nu))[:, None]
+    assert np.abs(geo.normal - nu).max() <= 1e-13 * np.abs(nu).max()
+
+
+def test_lazy_fields_equal_the_eager_formulas_bit_for_bit(grid16):
+    """``tangents``, ``induced``, ``induced_inv`` and ``normal_flat`` are built on first read, by the eager formulas."""
+    model = perturbed_schwarzschild(1.0, 0.5, 0.1, "odd")
+    rng = np.random.default_rng(31)
+    c = np.zeros(grid16.n_coeffs)
+    c[1:16] = 0.3 * rng.standard_normal(15)
+    c[0] = 7.0 * np.sqrt(4 * np.pi)
+    surface = SurfaceEmbedding(grid16, np.array([0.4, -0.2, 0.3]), c)
+    geo = SurfaceGeometry(surface, model)
+    lazy = ("tangents", "induced", "induced_inv", "normal_flat")
+    assert not set(lazy) & set(vars(geo))
+
+    rho = grid16.synthesize_values(c)
+    rho_t, rho_p = grid16.synthesize_values(c, dtheta=1), grid16.synthesize_values(c, dphi=1)
+    N = grid16.directions
+    t_th = rho_t[:, None] * N + rho[:, None] * grid16.d_dir_dtheta
+    t_ph = rho_p[:, None] * N + rho[:, None] * grid16.d_dir_dphi
+    tangents = np.stack([t_th, t_ph], axis=1)
+    a = tangents @ geo.gbar @ np.swapaxes(tangents, 1, 2)
+    inv = np.empty_like(a)
+    inv[:, 0, 0] = a[:, 1, 1]
+    inv[:, 1, 1] = a[:, 0, 0]
+    inv[:, 0, 1] = inv[:, 1, 0] = -a[:, 0, 1]
+    inv = inv / (a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] ** 2)[:, None, None]
+    assert np.array_equal(geo.tangents, tangents)
+    assert np.array_equal(geo.induced, a)
+    assert np.array_equal(geo.induced_inv, inv)
+    assert np.array_equal(geo.normal_flat, np.einsum("nij,nj->ni", geo.gbar, geo.normal))
+
+
+def test_flow_velocities_never_read_the_induced_metric(monkeypatch):
+    """The momentum flux reads the normal and the area elements, never ``induced``, its inverse or the tangents."""
+    from cmclab.physics import artificial_flow_integrate
+
+    reads = {}
+    for name in ("tangents", "induced", "induced_inv"):
+        build = SurfaceGeometry.__dict__[name].func
+
+        def counted(self, build=build, name=name):
+            reads[name] = reads.get(name, 0) + 1
+            return build(self)
+
+        monkeypatch.setattr(SurfaceGeometry, name, property(counted))
+    flow = artificial_flow_integrate(perturbed_schwarzschild(1.0, 0.5, 0.1, "odd"), 32.0, tau_steps=2, band_limit=8)
+    assert np.all(np.isfinite(flow.centers))
+    assert reads == {}
+    # the counters are live: the mean curvature reads all three
+    compute_geometry(SurfaceEmbedding.round_sphere(build_grid(8), 32.0), euclidean()).mean_curvature
+    assert set(reads) == {"tangents", "induced", "induced_inv"}
