@@ -23,16 +23,21 @@ import numpy as np
 
 from . import __version__
 from .acceptance import run_acceptance
-from .cmc import _CANONICAL_CENTER_TOL, SolverConfig, solve_cmc, solve_foliation, solve_radial_lapse
+from .cmc import SolverConfig, solve_cmc, solve_foliation
 from .config import ExperimentConfig, config_from_dict, parse_config
 from .errors import CmcLabError, ConfigurationError
-from .fits import fit_decay_exponent
+from .fits import fit_decay_exponent, richardson_extrapolate
 from .physics import (
     adm_center_integral,
     artificial_flow_integrate,
+    center_growth,
     cmc_adm_center_report,
+    eigenvalue_deviation,
+    eigenvalue_law,
+    evolution_law,
     evolution_residual,
     quasi_local_momentum,
+    radial_lapse_deviation,
 )
 
 _log = logging.getLogger(__name__)
@@ -118,18 +123,17 @@ def stage_foliate(config: ExperimentConfig):
 def stage_centers(config: ExperimentConfig):
     model = config.build_model()
     solver = _solver(config, eigenvalues=False)
-    report = cmc_adm_center_report(model, config.sigmas, adm_radii=config.adm_radii, config=solver)
+    leaves = [solve_cmc(model, sigma, solver) for sigma in config.sigmas]
+    report = cmc_adm_center_report(leaves, adm_radii=config.adm_radii)
     header = ["sigma", "z1", "z2", "z3", "formula1", "formula2", "formula3", "gap"]
     rows = []
-    for sigma, z, f in zip(report.sigmas, report.cmc_centers, report.leaf_formula_centers):
-        rows.append([sigma, *z, *f, float(np.linalg.norm(z - f))])
+    for sigma, z, f, gap in zip(report.sigmas, report.cmc_centers, report.leaf_formula_centers, report.gaps):
+        rows.append([sigma, *z, *f, gap])
     return report.to_record(), header, rows, True
 
 
 def stage_adm_center(config: ExperimentConfig):
     model = config.build_model()
-    from .fits import richardson_extrapolate
-
     centers = np.array([adm_center_integral(model, r) for r in config.adm_radii])
     extrap = richardson_extrapolate(config.adm_radii, centers)
     header = ["radius", "z1", "z2", "z3"]
@@ -163,7 +167,7 @@ def stage_eigen(config: ExperimentConfig):
     for leaf in result.leaves:
         lams = list(leaf.eigenvalues)
         ref = 6.0 * model.mass / leaf.sigma**3 if model.mass > 0 else 0.0
-        dev = max(abs(l / ref - 1.0) for l in lams) if ref else float("nan")
+        dev = eigenvalue_deviation(leaf) if ref else float("nan")
         rows.append([leaf.sigma, *lams, ref, dev])
         records.append({"sigma": leaf.sigma, "eigenvalues": lams, "reference": ref})
     return {"eigen": records}, header, rows, True
@@ -220,61 +224,30 @@ def stage_study(config: ExperimentConfig):
     """Convergence study: all sigma-decay fits with their gates."""
     model = config.build_model()
     data = config.build_data(model)
-    result = _leaves_for(config, model, eigenvalues=True)
-    leaves = result.leaves
-    sigmas = [leaf.sigma for leaf in leaves]
+    leaves = _leaves_for(config, model, eigenvalues=True).leaves
     eps = model.decay.epsilon
     # the kbar exponent configures the data set; the metric's decay class does not carry it
     delta = float(config.model_spec.get("delta", 1.0))
+
+    def row(quantity, claim, sign=1.0, vanished=float("inf")):
+        if claim.fit is None:  # zero at solver accuracy
+            return [quantity, vanished, 0.0, True]
+        return [quantity, sign * claim.fit.exponent, claim.fit.residual, claim.passed]
+
     rows = []
-    ok = True
-
     if model.mass > 0:
-        devs = []
-        for leaf in leaves:
-            ref = 6.0 * model.mass / leaf.sigma**3
-            devs.append(max(abs(l / ref - 1.0) for l in leaf.eigenvalues))
-        fit = fit_decay_exponent(sigmas, devs)
-        passed = devs[-1] < devs[0]
-        rows.append(["eigenvalue_deviation", fit.exponent, fit.residual, passed])
-        ok &= passed
-
-    residuals = [evolution_residual(leaf, data).residual for leaf in leaves]
-    if max(residuals) > 1e-13:
-        fit = fit_decay_exponent(sigmas, residuals)
-        passed = fit.exponent >= min(eps, delta) - 0.3
-        rows.append(["evolution_residual", fit.exponent, fit.residual, passed])
-        ok &= passed
-    else:
-        rows.append(["evolution_residual", float("inf"), 0.0, True])
-
-    centers = [float(np.linalg.norm(leaf.center)) for leaf in leaves]
-    # a center within the re-centering tolerance of the origin is zero at solver accuracy
-    if any(c > _CANONICAL_CENTER_TOL * s for c, s in zip(centers, sigmas)):
-        fit = fit_decay_exponent(sigmas, centers)
-        growth = -fit.exponent
-        passed = growth <= (1.0 - eps) + 0.1
-        rows.append(["center_growth", growth, fit.residual, passed])
-        ok &= passed
-    else:
-        rows.append(["center_growth", 0.0, 0.0, True])
-
+        rows.append(row("eigenvalue_deviation", eigenvalue_law(leaves, lambda fit, devs: devs[-1] < devs[0])))
+    evolution = evolution_law(leaves, data, lambda fit, _: fit.exponent >= min(eps, delta) - 0.3)
+    rows.append(row("evolution_residual", evolution))
+    growth = center_growth(leaves, lambda fit, _: -fit.exponent <= (1.0 - eps) + 0.1)
+    rows.append(row("center_growth", growth, -1.0, 0.0))  # the growth; 0.0 for centers at the origin
     # the radial lapse deviation is non-monotone in the pre-asymptotic
     # regime; the gate is boundedness, the exponent is informational
-    lapse_devs = [solve_radial_lapse(leaf).deviation_w1inf for leaf in leaves]
-    if max(lapse_devs) > 1e-13:
-        fit = fit_decay_exponent(sigmas, lapse_devs)
-        passed = max(lapse_devs) <= 0.5
-        rows.append(["radial_lapse_deviation", fit.exponent, fit.residual, passed])
-        ok &= passed
-    else:
-        rows.append(["radial_lapse_deviation", float("inf"), 0.0, True])
+    rows.append(row("radial_lapse_deviation", radial_lapse_deviation(leaves, lambda _, devs: max(devs) <= 0.5)))
 
     header = ["quantity", "exponent", "fitResidual", "passed"]
-    report = {
-        "rows": [dict(zip(["quantity", "exponent", "fit_residual", "passed"], r)) for r in rows]
-    }
-    return report, header, rows, bool(ok)
+    report = {"rows": [dict(zip(["quantity", "exponent", "fit_residual", "passed"], r)) for r in rows]}
+    return report, header, rows, all(r[-1] for r in rows)
 
 
 def stage_acceptance(config: ExperimentConfig):

@@ -1,4 +1,4 @@
-"""Centers of mass, quasi-local momenta, and the leaf evolution law.
+"""Centers of mass, quasi-local momenta, the leaf evolution law, and the claims.
 
 Conventions shared by every operation here:
 
@@ -46,12 +46,13 @@ from .surfaces import (
     surface_divergence,
     w1inf_norm,
 )
-from .cmc import CmcLeaf, SolverConfig, solve_cmc
+from .cmc import _CANONICAL_CENTER_TOL, CmcLeaf, solve_radial_lapse
 
 __all__ = [
     "MomentumReport",
     "EvolutionReport",
     "CenterReport",
+    "Claim",
     "ArtificialFlowResult",
     "DataRecord",
     "data_record",
@@ -63,6 +64,11 @@ __all__ = [
     "evolution_residual",
     "artificial_flow_integrate",
     "cmc_adm_center_report",
+    "eigenvalue_deviation",
+    "eigenvalue_law",
+    "evolution_law",
+    "center_growth",
+    "radial_lapse_deviation",
 ]
 
 EIGHT_PI = 8.0 * np.pi
@@ -425,8 +431,8 @@ class CenterReport:
     adm_radii: np.ndarray
     adm_centers: np.ndarray  # (k, 3) flux integral at each radius
     extrapolation: RichardsonResult
-    gap_fit: DecayFit  # decay of |cmc - leaf formula|
-    largest_sigma_gap: float
+    gaps: np.ndarray  # (n,) |cmc - leaf formula|
+    gap_fit: DecayFit  # decay of the gaps
 
     def to_record(self):
         return {
@@ -437,39 +443,77 @@ class CenterReport:
             "adm_centers": self.adm_centers.tolist(),
             "extrapolation": self.extrapolation.to_record(),
             "gap_fit": self.gap_fit.to_record(),
-            "largest_sigma_gap": self.largest_sigma_gap,
+            "largest_sigma_gap": float(self.gaps[-1]),
         }
 
 
-def cmc_adm_center_report(
-    model: MetricModel,
-    sigmas,
-    adm_radii=None,
-    config: SolverConfig | None = None,
-) -> CenterReport:
-    """Compare CMC leaf centers with the flux-integral center estimates.
+def cmc_adm_center_report(leaves, adm_radii=(32.0, 64.0, 128.0, 256.0)) -> CenterReport:
+    """Compare the centers of solved ``leaves`` (one ambient) with the flux-integral center estimates.
 
-    Solves the leaves, evaluates the flux integral at each leaf scale and
-    over a dyadic radius sweep, Richardson-extrapolates the sweep, and
-    fits the decay of the per-scale gap.
+    The integral runs at each leaf scale, whose gaps' decay is fitted, and over the dyadic ``adm_radii``.
     """
-    sigmas = np.asarray([float(s) for s in sigmas])
-    cmc = np.array([solve_cmc(model, s, config).center for s in sigmas])
+    model = leaves[0].geometry.model
+    sigmas = np.asarray([leaf.sigma for leaf in leaves])
+    cmc = np.array([leaf.center for leaf in leaves])
     formula = np.array([adm_center_integral(model, s) for s in sigmas])
-    if adm_radii is None:
-        adm_radii = [32.0 * 2**k for k in range(4)]
     adm_radii = np.asarray([float(r) for r in adm_radii])
     adm = np.array([adm_center_integral(model, r) for r in adm_radii])
-    extrap = richardson_extrapolate(adm_radii, adm)
     gaps = np.linalg.norm(cmc - formula, axis=1)
-    gap_fit = fit_decay_exponent(sigmas, np.maximum(gaps, 1e-300))
     return CenterReport(
         sigmas=sigmas,
         cmc_centers=cmc,
         leaf_formula_centers=formula,
         adm_radii=adm_radii,
         adm_centers=adm,
-        extrapolation=extrap,
-        gap_fit=gap_fit,
-        largest_sigma_gap=float(gaps[-1]),
+        extrapolation=richardson_extrapolate(adm_radii, adm),
+        gaps=gaps,
+        gap_fit=fit_decay_exponent(sigmas, np.maximum(gaps, 1e-300)),
     )
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One value per leaf, their decay fit over sigma, and the verdict of the caller's ``gate(fit, values)``.
+
+    ``fit`` is ``None``, and the claim passes, when every value is zero at solver accuracy.
+    """
+
+    values: list
+    fit: DecayFit | None
+    passed: bool
+
+
+def _claim(leaves, values, gate, floor=lambda sigma: 1e-13) -> Claim:
+    """Fit ``values`` over sigma and gate the fit, unless each value is within ``floor(sigma)``."""
+    sigmas = [leaf.sigma for leaf in leaves]
+    if all(v <= floor(s) for v, s in zip(values, sigmas)):
+        return Claim(values, None, True)
+    fit = fit_decay_exponent(sigmas, values)
+    return Claim(values, fit, bool(gate(fit, values)))
+
+
+def eigenvalue_deviation(leaf: CmcLeaf) -> float:
+    """``max |lambda sigma^3 / 6m - 1|`` over the leaf's ``eigenvalues``, ``m`` the mass of its ambient."""
+    reference = 6.0 * leaf.geometry.model.mass / leaf.sigma**3
+    return max(abs(lam / reference - 1.0) for lam in leaf.eigenvalues)
+
+
+def eigenvalue_law(leaves, gate) -> Claim:
+    """``lambda = 6m / sigma^3``: the :func:`eigenvalue_deviation` of each leaf."""
+    return _claim(leaves, [eigenvalue_deviation(leaf) for leaf in leaves], gate)
+
+
+def evolution_law(leaves, data: InitialDataModel, gate) -> Claim:
+    """``center velocity = P/m``: the :func:`evolution_residual` of each leaf."""
+    return _claim(leaves, [evolution_residual(leaf, data).residual for leaf in leaves], gate)
+
+
+def center_growth(leaves, gate) -> Claim:
+    """``|z|`` of each leaf center (zero within ``_CANONICAL_CENTER_TOL * sigma``); growth is minus its exponent."""
+    values = [float(np.linalg.norm(leaf.center)) for leaf in leaves]
+    return _claim(leaves, values, gate, floor=lambda sigma: _CANONICAL_CENTER_TOL * sigma)
+
+
+def radial_lapse_deviation(leaves, gate) -> Claim:
+    """``||u - 1||_{W^{1,inf}}`` of each leaf's foliation lapse (:func:`solve_radial_lapse`)."""
+    return _claim(leaves, [solve_radial_lapse(leaf).deviation_w1inf for leaf in leaves], gate)

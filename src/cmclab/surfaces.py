@@ -563,11 +563,8 @@ def euclidean_center(surface: SurfaceEmbedding) -> np.ndarray:
     The measure is the Euclidean-induced one (the convention of the ADM
     comparison).  Exactly translation-equivariant.
     """
-    grid = surface.grid
-    c = surface.rho_coeffs
-    rho = surface.radius_values
-    rho_t = grid.synthesize_values(c, dtheta=1)
-    rho_p = grid.synthesize_values(c, dphi=1)
+    grid, chart = surface.grid, surface.chart
+    rho, rho_t, rho_p = surface.radius_values, chart.rho_theta, chart.rho_phi
     sin_t = np.repeat(grid.sin_theta, grid.n_phi)
     # |t_theta x t_phi| for a radial graph over the round sphere
     jac = rho * np.sqrt((rho**2 + rho_t**2) * sin_t**2 + rho_p**2) / sin_t

@@ -263,6 +263,42 @@ def test_study_evolution_gate_reads_configured_delta(tmp_path):
     assert rows["center_growth"] == {"quantity": "center_growth", "exponent": 0.0, "fit_residual": 0.0, "passed": True}
 
 
+@pytest.mark.parametrize("B", [1.0, 0.0])
+def test_study_gate_fails_on_a_pre_asymptotic_center_growth(tmp_path, B):
+    """A translated odd model whose center-growth fit over sigma = 16-128 is pre-asymptotic.
+
+    |z| fits a growth exponent of 0.643 against the gate's 1 - epsilon + 0.1 = 0.6, so the
+    stage exits 1 with ``failed-gate`` and ``center_growth`` is the only failing row.  With
+    B = 0 the data are time-symmetric: the evolution residuals vanish at solver accuracy,
+    so that row is not fitted and passes.
+    """
+    model = {
+        "kind": "perturbed", "m": 1.0, "epsilon": 0.5, "A": 0.1, "shape": "odd",
+        "a": [-0.161, 0.076, 0.037], "B": B, "b": [0.966, -0.259, 0.021],
+    }
+    config = write_config(
+        tmp_path,
+        json.dumps(
+            {
+                "model": model,
+                "run": {"sigmas": [16.0, 32.0, 64.0, 128.0], "band_limit": 24},
+                "solver": {"newton_tol": 1e-10},
+            }
+        ),
+    )
+    out = tmp_path / "study"
+    assert main(["study", "--config", str(config), "--out", str(out), "--log", "quiet"]) == 1
+    manifest = json.loads(out.with_suffix(".json").read_text())
+    assert manifest["status"]["study"] == "failed-gate"
+    rows = {r["quantity"]: r for r in manifest["reports"]["study"]["rows"]}
+    assert [name for name, row in rows.items() if not row["passed"]] == ["center_growth"]
+    assert rows["center_growth"]["exponent"] == pytest.approx(0.643, abs=5e-4)
+    if B == 0.0:
+        assert rows["evolution_residual"] == {
+            "quantity": "evolution_residual", "exponent": float("inf"), "fit_residual": 0.0, "passed": True
+        }
+
+
 def test_cli_main_exit_codes(tmp_path):
     out = tmp_path / "cli"
     rc = main(

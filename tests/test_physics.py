@@ -326,12 +326,9 @@ def test_center_report_converges_on_translated_model():
 
     a = np.array([2.0, 0.0, 0.0])
     model = translated(schwarzschild(M), a)
-    report = cmc_adm_center_report(
-        model,
-        sigmas=[10.0, 16.0],
-        adm_radii=[32.0, 64.0, 128.0, 256.0],
-        config=SolverConfig(band_limit=12, compute_eigenvalues=False),
-    )
+    config = SolverConfig(band_limit=12, compute_eigenvalues=False)
+    leaves = [solve_cmc(model, sigma, config) for sigma in (10.0, 16.0)]
+    report = cmc_adm_center_report(leaves, adm_radii=[32.0, 64.0, 128.0, 256.0])
     assert report.extrapolation.converged
     assert np.linalg.norm(report.extrapolation.limit - a) < 1e-3
     assert np.abs(report.cmc_centers - a).max() < 1e-8
@@ -343,13 +340,39 @@ def test_center_report_flags_divergent_adm_sweep():
     from cmclab.physics import cmc_adm_center_report
 
     model = perturbed_schwarzschild(M, 0.5, 0.1, "odd")
-    report = cmc_adm_center_report(
-        model,
-        sigmas=[10.0, 16.0],
-        adm_radii=[32.0, 64.0, 128.0, 256.0],
-        config=SolverConfig(band_limit=12, compute_eigenvalues=False),
-    )
+    config = SolverConfig(band_limit=12, compute_eigenvalues=False)
+    leaves = [solve_cmc(model, sigma, config) for sigma in (10.0, 16.0)]
+    report = cmc_adm_center_report(leaves, adm_radii=[32.0, 64.0, 128.0, 256.0])
     assert not report.extrapolation.converged  # centers drift like sigma^(1/2)
+
+
+def test_claims_gate_their_fit_unless_the_values_vanish():
+    """A claim fits its per-leaf values over sigma and hands the gate that fit and the values;
+    values that vanish at solver accuracy are not fitted, skip the gate and pass."""
+    from cmclab.physics import center_growth, eigenvalue_law, evolution_law
+
+    model = schwarzschild(M)
+    leaves = [solve_cmc(model, sigma, SolverConfig(band_limit=12)) for sigma in (16.0, 32.0, 64.0)]
+    seen = []
+
+    def gate(fit, values):
+        seen.append((fit, values))
+        return False
+
+    data = synthetic_data(model, delta=1.0, amplitude=1.0, direction=(1.0, 0.0, 0.0))
+    claim = evolution_law(leaves, data, gate)
+    assert claim.values == [evolution_residual(leaf, data).residual for leaf in leaves]
+    assert claim.fit == fit_decay_exponent([16.0, 32.0, 64.0], claim.values)
+    assert claim.passed is False and seen == [(claim.fit, claim.values)]
+    seen.clear()
+    # time-symmetric data move nothing, and Schwarzschild leaves are centered at the origin
+    for vanished in (evolution_law(leaves, time_symmetric_data(model), gate), center_growth(leaves, gate)):
+        assert vanished.fit is None and vanished.passed is True and max(vanished.values) <= 1e-9
+    assert seen == []
+    claim = eigenvalue_law(leaves, lambda fit, devs: devs[-1] < devs[0])
+    deviations = [max(abs(lam * leaf.sigma**3 / (6 * M) - 1) for lam in leaf.eigenvalues) for leaf in leaves]
+    assert claim.values == pytest.approx(deviations, rel=1e-12)
+    assert claim.passed is True
 
 
 def test_lapse_rhs_matches_metric_variation_oracle():

@@ -475,6 +475,40 @@ def test_euclidean_center_translation_equivariance(grid16):
     assert np.abs(z1 - (z0 + a)).max() < 1e-12
 
 
+def test_euclidean_center_reads_the_chart(grid16, monkeypatch):
+    """The centroid takes rho_theta and rho_phi from the surface's chart, which the next
+    geometry build of that surface reuses: the pair costs no synthesis beyond the build."""
+    rng = np.random.default_rng(5)
+    c = np.zeros(grid16.n_coeffs)
+    low = grid16.coeff_l <= 5
+    c[low] = 0.05 * rng.standard_normal(low.sum())
+    c[0] = 8.0 * np.sqrt(4 * np.pi)
+    model = schwarzschild(1.0)
+    calls = []
+    synthesize = SphericalGrid.synthesize_values
+
+    def counting(self, *args, **kwargs):
+        calls.append(kwargs)
+        return synthesize(self, *args, **kwargs)
+
+    monkeypatch.setattr(SphericalGrid, "synthesize_values", counting)
+    counts = []
+    for with_center in (False, True):
+        s = SurfaceEmbedding(grid16, (0.3, -0.2, 0.1), c)
+        calls.clear()
+        if with_center:
+            euclidean_center(s)
+        compute_geometry(s, model)
+        counts.append(len(calls))
+    assert counts[1] == counts[0]
+    calls.clear()
+    euclidean_center(s)
+    assert calls == []
+    # the chart holds the very syntheses the centroid used to make itself
+    assert np.array_equal(s.chart.rho_theta, synthesize(grid16, c, dtheta=1))
+    assert np.array_equal(s.chart.rho_phi, synthesize(grid16, c, dphi=1))
+
+
 def test_sobolev_norm_round_sphere_examples(grid16):
     """Closed forms of the W^{1,inf} norm on a Euclidean sigma-sphere.
 
