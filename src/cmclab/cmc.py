@@ -1,4 +1,4 @@
-"""Newton continuation solver for prescribed-mean-curvature leaves.
+"""Newton solver for prescribed-mean-curvature leaves and their sweeps.
 
 Each leaf solves ``H(surface) = -2/sigma + 4m/sigma^2`` as a radial graph.
 The Newton update solves the stability operator in weak form,
@@ -66,7 +66,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Newton/continuation parameters.
+    """Newton parameters.
 
     ``newton_tol`` bounds the scaled residual ``||H - H_sigma||_inf *
     sigma^2``; ``max_newton`` caps the Newton steps of a leaf, at both band
@@ -176,7 +176,6 @@ def solve_cmc(
     sigma: float,
     config: SolverConfig | None = None,
     initial: SurfaceEmbedding | None = None,
-    enforce_floor: bool = True,
 ) -> CmcLeaf:
     """Solve for the leaf of mean curvature ``-2/sigma + 4m/sigma^2``.
 
@@ -204,7 +203,7 @@ def solve_cmc(
     """
     config = config or SolverConfig()
     floor = _SIGMA_FLOOR_FACTOR * model.mass
-    if enforce_floor and sigma < floor:
+    if sigma < floor:
         raise ConfigurationError(
             f"sigma = {sigma} below the continuation floor {floor} = "
             f"{_SIGMA_FLOOR_FACTOR:g} * m"
@@ -303,30 +302,23 @@ def solve_cmc(
 
 
 def solve_foliation(model: MetricModel, sigmas, config: SolverConfig | None = None) -> FoliationResult:
-    """Warm-started sweep over an increasing sigma schedule."""
+    """Solve every leaf of a strictly increasing sigma schedule.
+
+    Each leaf is :func:`solve_cmc` from the round sphere, so it depends on
+    ``(model, sigma, config)`` alone, not on the other sigmas of the
+    schedule.  A leaf that fails is recorded in ``failures`` and does not
+    stop the sweep; ``nested`` checks consecutive solved leaves.
+    """
     config = config or SolverConfig()
     sigmas = [float(s) for s in sigmas]
     if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
         raise ConfigurationError("sigma schedule must be strictly increasing")
     result = FoliationResult(model_name=model.name)
-    previous = None
     for sigma in sigmas:
-        initial = None
-        if previous is not None:
-            scale = sigma / previous.sigma
-            initial = SurfaceEmbedding(
-                previous.surface.grid,
-                previous.surface.center,
-                previous.surface.rho_coeffs * scale,
-            )
         try:
-            leaf = solve_cmc(model, sigma, config, initial=initial)
+            result.leaves.append(solve_cmc(model, sigma, config))
         except (SolverError, ConfigurationError, DomainError) as exc:
             result.failures.append({"sigma": sigma, "kind": type(exc).__name__, "error": str(exc)})
-            previous = None
-            continue
-        result.leaves.append(leaf)
-        previous = leaf
     result.nested = _check_nested(result.leaves) if len(result.leaves) > 1 else None
     return result
 

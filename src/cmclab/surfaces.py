@@ -13,7 +13,6 @@ Sign convention: ``k(X, Y) = <nabla_X Y, nu>`` with outward unit normal
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,7 +29,7 @@ from .errors import (
     SolverError,
 )
 from .models import MetricModel, _christoffel_from, _inverse_and_det, ricci
-from .sphere import ScalarField, SphericalGrid, build_grid
+from .sphere import ScalarField, SphericalGrid
 
 __all__ = [
     "SurfaceEmbedding",
@@ -89,7 +88,8 @@ class SurfaceEmbedding:
     """Star-shaped closed surface: center plus radial graph coefficients.
 
     The canonical representation is spectral (``rho_coeffs``); node values
-    are synthesized on demand.  This makes JSON serialization bit-exact.
+    are synthesized on demand, and :meth:`to_record` writes the coefficients
+    as they are.
     ``radius_values`` and ``positions`` are built on first read, and so is
     the :attr:`chart`, which depends on ``(grid, rho_coeffs)`` only:
     :meth:`translate` hands it to the moved surface.
@@ -176,18 +176,6 @@ class SurfaceEmbedding:
             "band_limit": self.grid.band_limit,
             "rho_coeffs": self.rho_coeffs.tolist(),
         }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "SurfaceEmbedding":
-        grid = build_grid(int(record["band_limit"]))
-        return cls(grid, np.array(record["center"], dtype=float), np.array(record["rho_coeffs"], dtype=float))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_record())
-
-    @classmethod
-    def from_json(cls, text: str) -> "SurfaceEmbedding":
-        return cls.from_record(json.loads(text))
 
 
 class SurfaceGeometry:
@@ -658,22 +646,18 @@ def w1inf_norm(geometry: SurfaceGeometry, values: np.ndarray, scale: float) -> f
     return float(np.abs(values).max()) + float(scale) * float(grad_norm.max())
 
 
-def resample(
-    surface: SurfaceEmbedding,
-    new_center,
-    grid: SphericalGrid | None = None,
-) -> SurfaceEmbedding:
+def resample(surface: SurfaceEmbedding, new_center) -> SurfaceEmbedding:
     """Re-express the same point set as a radial graph about a new center.
 
     Solves per direction for the intersection of the ray from
     ``new_center`` with the surface; requires the surface to remain
     star-shaped about the new center.
     """
-    grid = grid if grid is not None else surface.grid
+    grid = surface.grid
     new_center = np.asarray(new_center, dtype=float).reshape(3)
     d = new_center - surface.center
     if np.all(d == 0):
-        return surface.on_grid(grid)
+        return surface
     N = grid.directions
     rho_scale = float(surface.radius_values.mean())
     t = np.full(grid.n_nodes, rho_scale)

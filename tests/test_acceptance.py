@@ -7,7 +7,8 @@ printed per criterion.
 
 import pytest
 
-from cmclab.acceptance import run_acceptance
+from cmclab.acceptance import AcceptanceSuite, run_acceptance
+from cmclab.surfaces import SurfaceEmbedding
 
 
 @pytest.fixture(scope="module")
@@ -103,3 +104,17 @@ def test_criterion_8_numerical_hygiene(results):
     assert r.details["spectral_roundtrip"] <= 1e-12
     assert r.details["self_adjointness"] <= 1e-8
     assert r.details["linearization_order"] >= 0.9
+
+
+def test_linearization_order_sits_above_round_off(monkeypatch):
+    """A one-ulp rescale of the bumped radii moves criterion 8's linearization order by < 1e-7."""
+    suite = AcceptanceSuite()
+    order = suite.criterion_8_numerical_hygiene()["linearization_order"]
+    from_radial_values = SurfaceEmbedding.from_radial_values.__func__
+
+    def rescaled(cls, grid, values, center=(0.0, 0.0, 0.0)):
+        return from_radial_values(cls, grid, values * (1.0 + 2.2e-16), center)
+
+    monkeypatch.setattr(SurfaceEmbedding, "from_radial_values", classmethod(rescaled))
+    moved = suite.criterion_8_numerical_hygiene()["linearization_order"]
+    assert abs(moved - order) < 1e-7

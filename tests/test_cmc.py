@@ -1,4 +1,4 @@
-"""CMC solver: oracle radii, equivariance, warm starts, radial lapse."""
+"""CMC solver: oracle radii, equivariance, sweeps, radial lapse."""
 
 import dataclasses
 import logging
@@ -135,7 +135,6 @@ def test_solve_cmc_perturbed_center_growth_bound():
 def test_sigma_floor_enforced():
     with pytest.raises(ConfigurationError):
         solve_cmc(schwarzschild(1.0), 6.0, CFG)
-    solve_cmc(schwarzschild(1.0), 6.0, CFG, enforce_floor=False)
 
 
 def test_solver_error_when_iteration_budget_too_small():
@@ -159,7 +158,7 @@ def test_solve_foliation_schwarzschild():
 
 @pytest.mark.parametrize("band_limit", [16, 24, 32])
 def test_large_sigma_sweep_reaches_krylov_tolerance(band_limit):
-    """Warm-started leaves up to sigma = 8192 m: the l = 1 conditioning (~ sigma / 3m) sets
+    """Leaves up to sigma = 8192 m: the l = 1 conditioning (~ sigma / 3m) sets
     the preconditioned residual's round-off floor, and the Krylov tolerance follows it."""
     config = SolverConfig(band_limit=band_limit, compute_eigenvalues=False)
     result = solve_foliation(schwarzschild(1.0), [16.0, 1024.0, 8192.0], config)
@@ -299,7 +298,7 @@ def test_radial_lapse_matches_leaf_finite_difference():
     cfg = SolverConfig(band_limit=12, compute_eigenvalues=False)
     leaf = solve_cmc(model, sigma, cfg)
     plus = solve_cmc(model, sigma + h, cfg)
-    minus = solve_cmc(model, sigma - h, cfg, enforce_floor=False)
+    minus = solve_cmc(model, sigma - h, cfg)
     drho = (plus.surface.radius_values - minus.surface.radius_values) / (2 * h)
     geo = leaf.geometry
     # normal speed = radial speed * gbar(N, nu)
@@ -326,7 +325,7 @@ def test_converged_H_error_drops_with_band_limit():
         surface = solve_cmc(model, sigma, cfg).surface
         for _ in range(12):
             surface, _ = newton_step(surface, model, h_target)
-        refined = resample(surface, surface.center, fine)
+        refined = surface.on_grid(fine)
         H = compute_geometry(refined, model).mean_curvature
         errors.append(np.abs(H - h_target).max() * sigma**2)
     assert errors[0] / errors[1] >= 10.0
@@ -444,21 +443,21 @@ def test_newton_residual_history_is_quadratic(cold_leaves, monkeypatch):
 
 
 def test_leaf_center_is_the_centroid_on_the_parametrization_center(cold_leaves):
-    """Cold, warm and off-center starts: ``center`` is the centroid, within ``_CANONICAL_CENTER_TOL * sigma`` of the grid center.
+    """Cold, swept and off-center-started leaves: ``center`` is the centroid, within ``_CANONICAL_CENTER_TOL * sigma`` of the grid center.
 
     The off-center start is a solved leaf parametrized about a point 0.01 sigma
     from its centroid.  Its residual (about 1e-10, resampling noise) already
     meets a ``newton_tol`` of 1e-8, so only the centroid check keeps the loop
     from returning it as it is.
     """
-    warm = solve_foliation(QUADRATIC_MODEL, [16.0, 32.0, 64.0], CFG).leaves
+    swept = solve_foliation(QUADRATIC_MODEL, [16.0, 32.0, 64.0], CFG).leaves
     loose = dataclasses.replace(CFG, newton_tol=1e-8)
     shifted = []
     for sigma, cold in cold_leaves.items():
         initial = resample(cold.surface, cold.surface.center + [0.01 * sigma, 0.0, 0.0])
         shifted.append(solve_cmc(QUADRATIC_MODEL, sigma, loose, initial=initial))
         assert shifted[-1].newton_residuals[0] <= loose.newton_tol
-    for leaf in list(cold_leaves.values()) + warm + shifted:
+    for leaf in list(cold_leaves.values()) + swept + shifted:
         assert np.array_equal(leaf.center, euclidean_center(leaf.surface))
         assert np.linalg.norm(leaf.center - leaf.surface.center) <= _CANONICAL_CENTER_TOL * leaf.sigma
 
@@ -589,7 +588,7 @@ def test_failed_coarse_pass_hands_over_the_start(cold_leaves, monkeypatch, error
 REPORT_GATE_MODEL = translated(perturbed_schwarzschild(1.0, 0.5, 0.1, "odd"), (0.21, -0.13, 0.37))
 
 
-def test_warm_sweep_checks_each_leaf_once_at_the_full_band_limit(monkeypatch):
+def test_sweep_checks_each_leaf_once_at_the_full_band_limit(monkeypatch):
     """The padded coarse leaf already meets ``newton_tol`` at L = 24: one full-grid geometry per leaf."""
     from cmclab import cmc
 
@@ -608,3 +607,13 @@ def test_warm_sweep_checks_each_leaf_once_at_the_full_band_limit(monkeypatch):
         assert leaf.newton_band_limits.count(24) == 1
         assert leaf.to_record()["newton_band_limits"] == list(leaf.newton_band_limits)
         assert leaf.residual <= config.newton_tol
+
+
+def test_leaf_does_not_depend_on_its_schedule():
+    """A sweep's last leaf, a one-leaf sweep and a lone solve at the same sigma give the same record."""
+    records = [
+        solve_foliation(REPORT_GATE_MODEL, [16.0, 32.0, 64.0], CFG).leaves[-1].to_record(),
+        solve_foliation(REPORT_GATE_MODEL, [64.0], CFG).leaves[0].to_record(),
+        solve_cmc(REPORT_GATE_MODEL, 64.0, CFG).to_record(),
+    ]
+    assert records[0] == records[1] == records[2]

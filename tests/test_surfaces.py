@@ -600,19 +600,6 @@ def test_resample_round_trip_at_high_band_limit(near_pole):
     assert np.abs(back.radius_values - s.radius_values).max() < 1e-9
 
 
-def test_serialization_bit_exact_round_trip(grid16):
-    rng = np.random.default_rng(10)
-    c = np.zeros(grid16.n_coeffs)
-    low = grid16.coeff_l <= 4
-    c[low] = rng.standard_normal(low.sum()) * 0.1
-    c[0] = 30.0
-    s = SurfaceEmbedding(grid16, np.array([0.1, -0.2, 0.3]), c)
-    restored = SurfaceEmbedding.from_json(s.to_json())
-    assert np.array_equal(restored.rho_coeffs, s.rho_coeffs)
-    assert np.array_equal(restored.center, s.center)
-    assert restored.grid is s.grid
-
-
 def test_resolution_warning_on_rough_field(grid16):
     s = SurfaceEmbedding.round_sphere(grid16, 5.0)
     geo = compute_geometry(s, euclidean())
