@@ -10,6 +10,8 @@ from .errors import ConfigurationError
 
 __all__ = ["DecayFit", "RichardsonResult", "fit_decay_exponent", "richardson_extrapolate"]
 
+_RATE_TOLERANCE = 0.5  # largest spread of the per-octave rates of a converged extrapolation
+
 
 @dataclass(frozen=True)
 class DecayFit:
@@ -70,7 +72,7 @@ class RichardsonResult:
         }
 
 
-def richardson_extrapolate(radii, vectors, rate_tolerance: float = 0.5) -> RichardsonResult:
+def richardson_extrapolate(radii, vectors) -> RichardsonResult:
     """Accelerate ``z(r) = z_inf + b r^(-q)`` sampled at dyadic radii.
 
     ``vectors`` has one row per radius.  Requires at least three samples
@@ -95,5 +97,5 @@ def richardson_extrapolate(radii, vectors, rate_tolerance: float = 0.5) -> Richa
     if rate <= 0.05 or abs(denom) < 1e-6:
         return RichardsonResult(vectors[-1], rate, spread, False)
     limit = vectors[-1] + diffs[-1] / denom
-    converged = spread <= rate_tolerance
+    converged = spread <= _RATE_TOLERANCE
     return RichardsonResult(limit, rate, spread, converged)

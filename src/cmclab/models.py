@@ -2,9 +2,12 @@
 
 Every model supplies closed-form evaluators for the metric and its first
 and second coordinate derivatives on ``|x| > r_min`` (finite differences
-appear only in tests).  Initial data attach a symmetric two-tensor
-``kbar`` with first derivatives and a lapse; the energy and momentum
-densities are *defined* through the constraint equations
+appear only in tests).  An initial data set attaches, in one evaluator of
+its :class:`DataFields`, a symmetric two-tensor ``kbar`` with first
+derivatives and the lapse of its slicing: the static Schwarzschild lapse
+about the base's exclusion center, or the unit lapse of
+:func:`artificial_data`.  The energy and momentum densities are *defined*
+through the constraint equations
 
     2*rho = S - |kbar|^2 + (tr kbar)^2,      J = div(tr(kbar) g - kbar),
 
@@ -94,8 +97,6 @@ class MetricModel:
     _g: Callable = None
     _dg: Callable = None
     _d2g: Callable = None
-    _alpha: Callable = None
-    _dalpha: Callable = None
 
     def _check_domain(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -138,29 +139,14 @@ class DataFields:
 
 @dataclass(frozen=True)
 class InitialDataModel:
-    """Initial data set: base metric plus extrinsic curvature and lapse.
-
-    ``_kbar``/``_dkbar`` evaluate the extrinsic curvature, or ``_joint``
-    evaluates ``(g, dg, kbar, dkbar)`` in one call for data defined through
-    the base metric; the lapse defaults to the base model's.
-    """
+    """Initial data set: base metric plus one evaluator ``_fields(x) -> DataFields``."""
 
     base: MetricModel
-    _kbar: Callable = None
-    _dkbar: Callable = None
-    _alpha: Callable = None
-    _dalpha: Callable = None
-    _joint: Callable = None
+    _fields: Callable
 
     def evaluate(self, x) -> DataFields:
         """Every field of the data set at ``x``, after one domain check."""
-        x = self.base._check_domain(x)
-        alpha = self._alpha if self._alpha is not None else self.base._alpha
-        dalpha = self._dalpha if self._dalpha is not None else self.base._dalpha
-        if self._joint is None:
-            return DataFields(self._kbar(x), self._dkbar(x), alpha(x), dalpha(x))
-        g, dg, kb, dkb = self._joint(x)
-        return DataFields(kb, dkb, alpha(x), dalpha(x), g, dg)
+        return self._fields(self.base._check_domain(x))
 
 
 # ---------------------------------------------------------------------------
@@ -215,24 +201,23 @@ def _schwarzschild_factors(m: float):
 
 
 def _schwarzschild_evaluators(m: float):
-    g, dg, d2g = _conformal(*_schwarzschild_factors(m))
+    return _conformal(*_schwarzschild_factors(m))
 
-    def alpha(x):
-        r = np.linalg.norm(x, axis=-1)
-        return (1.0 - 2.0 * m / r) / (1.0 + 2.0 * m / r)
 
-    def dalpha(x):
-        r = np.linalg.norm(x, axis=-1)[..., None]
-        return (4.0 * m / (r + 2.0 * m) ** 2) * x / r
-
-    return g, dg, d2g, alpha, dalpha
+def _static_lapse(m: float, center, x):
+    """The static Schwarzschild lapse ``(1 - 2m/r) / (1 + 2m/r)``, ``r = |x - center|``, and its gradient."""
+    d = x - center
+    r = np.linalg.norm(d, axis=-1)
+    alpha = (1.0 - 2.0 * m / r) / (1.0 + 2.0 * m / r)
+    r = r[..., None]
+    return alpha, (4.0 * m / (r + 2.0 * m) ** 2) * d / r
 
 
 def schwarzschild(m: float) -> MetricModel:
     """Conformally flat Schwarzschild timeslice ``(1 + m/2r)^4 * euclidean``."""
     if m <= 0:
         raise ModelError(f"Schwarzschild mass must be positive, got {m}")
-    g, dg, d2g, alpha, dalpha = _schwarzschild_evaluators(m)
+    g, dg, d2g = _schwarzschild_evaluators(m)
     return MetricModel(
         name=f"schwarzschild(m={m:g})",
         mass=m,
@@ -241,14 +226,12 @@ def schwarzschild(m: float) -> MetricModel:
         _g=g,
         _dg=dg,
         _d2g=d2g,
-        _alpha=alpha,
-        _dalpha=dalpha,
     )
 
 
 def euclidean() -> MetricModel:
     """Flat ambient space; the zero-mass limit used in oracle tests."""
-    g, dg, d2g, alpha, dalpha = _schwarzschild_evaluators(0.0)
+    g, dg, d2g = _schwarzschild_evaluators(0.0)
     return MetricModel(
         name="euclidean",
         mass=0.0,
@@ -257,8 +240,6 @@ def euclidean() -> MetricModel:
         _g=g,
         _dg=dg,
         _d2g=d2g,
-        _alpha=alpha,
-        _dalpha=dalpha,
     )
 
 
@@ -276,8 +257,6 @@ def translated(model: MetricModel, a: Sequence[float]) -> MetricModel:
         _g=shift(model._g),
         _dg=shift(model._dg),
         _d2g=shift(model._d2g),
-        _alpha=shift(model._alpha),
-        _dalpha=shift(model._dalpha),
     )
 
 
@@ -297,17 +276,17 @@ def interpolated(model: MetricModel, tau: float, anchor=None) -> MetricModel:
     """Affine interpolation ``gS + tau * (g - gS)`` toward Schwarzschild.
 
     ``tau = 0`` is the Schwarzschild metric of the model's mass, ``tau = 1``
-    the model itself; the lapse stays the Schwarzschild one.  The
-    Schwarzschild reference is centered at ``anchor`` (default: the
-    model's exclusion center, so translated models interpolate toward a
-    translated reference and the family is translation-equivariant).
+    the model itself.  The Schwarzschild reference is centered at
+    ``anchor`` (default: the model's exclusion center, so translated models
+    interpolate toward a translated reference and the family is
+    translation-equivariant).
     """
     if not (0.0 <= tau <= 1.0):
         raise ModelError(f"interpolation parameter must lie in [0, 1], got {tau}")
     anchor = np.asarray(
         anchor if anchor is not None else model.exclusion_center, dtype=float
     ).reshape(3)
-    gs, dgs, d2gs, alpha, dalpha = _anchored_schwarzschild_evaluators(model.mass, anchor)
+    gs, dgs, d2gs = _anchored_schwarzschild_evaluators(model.mass, anchor)
 
     def mix(fa, fb):
         return lambda x: _affine(fa(x), fb(x), tau)
@@ -318,8 +297,6 @@ def interpolated(model: MetricModel, tau: float, anchor=None) -> MetricModel:
         _g=mix(gs, model._g),
         _dg=mix(dgs, model._dg),
         _d2g=mix(d2gs, model._d2g),
-        _alpha=alpha,
-        _dalpha=dalpha,
     )
 
 
@@ -404,15 +381,13 @@ def perturbed_schwarzschild(
 
 
 def time_symmetric_data(base: MetricModel) -> InitialDataModel:
-    """Data with vanishing extrinsic curvature (momentum-free)."""
+    """Data with vanishing extrinsic curvature (momentum-free) and the static lapse of ``base``."""
 
-    def kb(x):
-        return np.zeros(x.shape[:-1] + (3, 3))
+    def fields(x):
+        lapse = _static_lapse(base.mass, base.exclusion_center, x)
+        return DataFields(np.zeros(x.shape[:-1] + (3, 3)), np.zeros(x.shape[:-1] + (3, 3, 3)), *lapse)
 
-    def dkb(x):
-        return np.zeros(x.shape[:-1] + (3, 3, 3))
-
-    return InitialDataModel(base=base, _kbar=kb, _dkbar=dkb)
+    return InitialDataModel(base, fields)
 
 
 def synthetic_data(
@@ -420,9 +395,9 @@ def synthetic_data(
 ) -> InitialDataModel:
     """Closed-form extrinsic curvature ``B (b_i x_j + b_j x_i) / r^(2+delta)``.
 
-    Decays like ``r^-(1+delta)``; the lapse is the Schwarzschild one of the
-    base mass, so the data satisfy the declared decay class with any
-    ``delta`` in ``(0, 1]``.
+    Decays like ``r^-(1+delta)``; the lapse is the static Schwarzschild one
+    of the base mass about its exclusion center, so the data satisfy the
+    declared decay class with any ``delta`` in ``(0, 1]``.
     """
     if not (0.0 < delta <= 1.0):
         raise ModelError(f"kbar decay exponent delta must lie in (0, 1], got {delta}")
@@ -435,23 +410,20 @@ def synthetic_data(
         raise ModelError("direction must be a nonzero vector")
     b = b / nb
 
-    def kb(x):
-        r = np.linalg.norm(x, axis=-1)[..., None, None]
-        bx = b[:, None] * x[..., None, :] + x[..., :, None] * b[None, :]
-        return B * bx * r ** -(2.0 + delta)
-
     # dlin[l, i, j] = d_l (b_i x_j + b_j x_i) = b_i delta_jl + b_j delta_il
     dlin = _ID3[:, None, :] * b[None, :, None] + _ID3[:, :, None] * b[None, None, :]
 
-    def dkb(x):
-        r = np.linalg.norm(x, axis=-1)[..., None, None, None]
+    def fields(x):
+        r = np.linalg.norm(x, axis=-1)[..., None, None]
         bx = b[:, None] * x[..., None, :] + x[..., :, None] * b[None, :]
-        return B * (
-            dlin * r ** -(2.0 + delta)
-            - (2.0 + delta) * x[..., :, None, None] * bx[..., None, :, :] * r ** -(4.0 + delta)
+        decay = r ** -(2.0 + delta)
+        dkb = B * (
+            dlin * decay[..., None]
+            - (2.0 + delta) * x[..., :, None, None] * bx[..., None, :, :] * r[..., None] ** -(4.0 + delta)
         )
+        return DataFields(B * bx * decay, dkb, *_static_lapse(base.mass, base.exclusion_center, x))
 
-    return InitialDataModel(base=base, _kbar=kb, _dkbar=dkb)
+    return InitialDataModel(base, fields)
 
 
 def artificial_data(
@@ -471,20 +443,21 @@ def artificial_data(
         anchor if anchor is not None else model.exclusion_center, dtype=float
     ).reshape(3)
     ambient = interpolated(model, tau, anchor=anchor)
-    gs, dgs, _, _, _ = _anchored_schwarzschild_evaluators(model.mass, anchor)
+    gs, dgs, _ = _anchored_schwarzschild_evaluators(model.mass, anchor)
 
-    def joint(x):
+    def fields(x):
         a, b = gs(x), model._g(x)
         da, db = dgs(x), model._dg(x)
-        return _affine(a, b, tau), _affine(da, db, tau), factor * (a - b), factor * (da - db)
+        return DataFields(
+            kbar=factor * (a - b),
+            kbar_deriv=factor * (da - db),
+            lapse=np.ones(x.shape[:-1]),
+            lapse_deriv=np.zeros(x.shape),
+            metric=_affine(a, b, tau),
+            metric_deriv=_affine(da, db, tau),
+        )
 
-    def alpha(x):
-        return np.ones(np.asarray(x).shape[:-1])
-
-    def dalpha(x):
-        return np.zeros(np.asarray(x).shape)
-
-    return InitialDataModel(base=ambient, _alpha=alpha, _dalpha=dalpha, _joint=joint)
+    return InitialDataModel(ambient, fields)
 
 
 # ---------------------------------------------------------------------------
@@ -618,15 +591,10 @@ class DecayReport:
     growing: bool
 
 
-def _direction_set(n_level: int = 8) -> np.ndarray:
-    return build_grid(n_level).directions
-
-
 def verify_decay(
     target: MetricModel | InitialDataModel,
     decay: DecayClass | None = None,
     radii: Sequence[float] = (16.0, 32.0, 64.0, 128.0, 256.0),
-    pass_margin: float = 1.0,
 ) -> DecayReport:
     """Measure asymptotic decay against a declared class.
 
@@ -647,9 +615,9 @@ def verify_decay(
     if decay is None:
         decay = model.decay
     eps, delta = decay.epsilon, decay.delta
-    dirs = _direction_set()
+    dirs = build_grid(8).directions
 
-    gs, dgs, d2gs, alphas, dalphas = _schwarzschild_evaluators(model.mass)
+    gs, dgs, d2gs = _schwarzschild_evaluators(model.mass)
     per_radius: dict = {}
     constants: dict = {}
 
@@ -678,10 +646,11 @@ def verify_decay(
         for r in radii:
             pts = r * dirs
             fields = data.evaluate(pts)
+            alpha, dalpha = _static_lapse(model.mass, 0.0, pts)
             k0.append(sup_abs(fields.kbar))
             k1.append(sup_abs(fields.kbar_deriv))
-            a0.append(sup_abs(fields.lapse - alphas(pts)))
-            a1.append(sup_abs(fields.lapse_deriv - dalphas(pts)))
+            a0.append(sup_abs(fields.lapse - alpha))
+            a1.append(sup_abs(fields.lapse_deriv - dalpha))
         record("kbar", 0, delta, k0)
         record("kbar", 1, delta, k1)
         record("lapse", 0, eps - delta, a0)
@@ -707,7 +676,7 @@ def verify_decay(
         passed = not growing
     else:
         top = max(v for orders in constants.values() for v in orders.values())
-        passed = top <= pass_margin * max(declared, 1e-12) and not growing
+        passed = top <= max(declared, 1e-12) and not growing
     return DecayReport(
         radii=radii,
         constants=constants,

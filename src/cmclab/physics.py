@@ -14,15 +14,14 @@ Conventions shared by every operation here:
 * Every on-surface function takes the leaf's :class:`SurfaceGeometry`
   first (a solved leaf carries it as ``leaf.geometry``).  The geometry's
   model is the ambient metric; an initial data set ``data`` supplies only
-  the extrinsic curvature ``kbar`` and the lapse, so it must be built on
-  that same ambient.
-* The data are evaluated once per node set: :func:`data_record` holds
-  ``kbar``, its derivative, the lapse, its gradient, ``tr kbar`` and the
-  momentum density ``J`` on the geometry's nodes and is cached on the
-  geometry for that data set, so the momentum integrals, the lapse source
-  and the evolution law read one evaluation.  A flow velocity builds its
-  sphere's metric and its record from one joint evaluation of the
-  artificial data.
+  the extrinsic curvature ``kbar`` and the lapse of its slicing, so it must
+  be built on that same ambient.
+* The data are evaluated once per node set: :func:`data_record` holds the
+  :class:`DataFields` of one evaluation with ``tr kbar`` and the momentum
+  density ``J`` on the geometry's nodes and is cached on the geometry for
+  that data set, so the momentum integrals, the lapse source and the
+  evolution law read one evaluation.  A flow velocity builds its sphere's
+  metric and its record from one evaluation of the artificial data.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ import numpy as np
 from .errors import ConfigurationError, ModelError
 from .fits import DecayFit, RichardsonResult, fit_decay_exponent, richardson_extrapolate
 from .models import (
+    DataFields,
     InitialDataModel,
     MetricModel,
     artificial_data,
@@ -72,6 +72,7 @@ __all__ = [
 ]
 
 EIGHT_PI = 8.0 * np.pi
+_ADM_BAND_LIMIT = 16  # quadrature band limit of the flux-integral sphere
 
 
 @dataclass(frozen=True)
@@ -110,17 +111,13 @@ class MomentumReport:
 class DataRecord:
     """An initial data set on the nodes of one geometry, evaluated once.
 
-    ``kbar`` ``(n, 3, 3)``, ``kbar_deriv`` ``(n, 3, 3, 3)``, ``lapse``
-    ``(n,)`` and ``lapse_deriv`` ``(n, 3)`` come from one
+    ``fields`` are the :class:`DataFields` of one
     :meth:`InitialDataModel.evaluate`; ``trace = g^ab kbar_ab`` and the
     momentum density ``J`` ``(n, 3)`` are assembled with the geometry's
     metric, inverse and Christoffel symbols.
     """
 
-    kbar: np.ndarray
-    kbar_deriv: np.ndarray
-    lapse: np.ndarray
-    lapse_deriv: np.ndarray
+    fields: DataFields
     trace: np.ndarray
     momentum_density: np.ndarray
 
@@ -138,15 +135,12 @@ def data_record(geometry: SurfaceGeometry, data: InitialDataModel) -> DataRecord
     return _record(geometry, data, data.evaluate(geometry.positions))
 
 
-def _record(geometry: SurfaceGeometry, data: InitialDataModel, fields) -> DataRecord:
+def _record(geometry: SurfaceGeometry, data: InitialDataModel, fields: DataFields) -> DataRecord:
     """Assemble and cache the record of ``data`` from its ``fields`` at the geometry's nodes."""
     geo = geometry
     kb = fields.kbar
     record = DataRecord(
-        kbar=kb,
-        kbar_deriv=fields.kbar_deriv,
-        lapse=fields.lapse,
-        lapse_deriv=fields.lapse_deriv,
+        fields=fields,
         trace=np.einsum("nab,nab->n", geo.gbar_inv, kb),
         momentum_density=momentum_density(
             geo.gbar, geo.gbar_inv, geo.dgbar, geo.gamma_bar, kb, fields.kbar_deriv
@@ -179,7 +173,7 @@ def quasi_local_momentum(
     w = geo.weights_induced
     w_corr = geo.weights_euclidean
     trace_term = rec.trace[:, None] * geo.normal_flat  # tr(kbar) g(nu, e_i)
-    kbar_term = np.einsum("nai,na->ni", rec.kbar, nu)
+    kbar_term = np.einsum("nai,na->ni", rec.fields.kbar, nu)
     p_trace = -(w[:, None] * trace_term).sum(axis=0) / EIGHT_PI
     p_kbar = (w[:, None] * kbar_term).sum(axis=0) / EIGHT_PI
     jnu = np.einsum("na,na->n", rec.momentum_density, nu)
@@ -193,12 +187,7 @@ def quasi_local_momentum(
     )
 
 
-def adm_center_integral(
-    model: MetricModel,
-    radius: float,
-    center=(0.0, 0.0, 0.0),
-    band_limit: int = 16,
-) -> np.ndarray:
+def adm_center_integral(model: MetricModel, radius: float, center=(0.0, 0.0, 0.0)) -> np.ndarray:
     """Flux-integral center estimate over the Euclidean sphere of ``radius``.
 
     Integrand (indices lowered with the Euclidean metric, outward unit
@@ -213,7 +202,7 @@ def adm_center_integral(
     """
     if model.mass <= 0:
         raise ModelError("the center integral needs a positive-mass model")
-    grid = build_grid(band_limit)
+    grid = build_grid(_ADM_BAND_LIMIT)
     center = np.asarray(center, dtype=float).reshape(3)
     N = grid.directions
     x = center + radius * N
@@ -244,7 +233,7 @@ def lapse_rhs(geometry: SurfaceGeometry, data: InitialDataModel) -> ScalarField:
     """
     geo = geometry
     rec = data_record(geo, data)
-    kb, alpha, dalpha = rec.kbar, rec.lapse, rec.lapse_deriv
+    kb, alpha, dalpha = rec.fields.kbar, rec.fields.lapse, rec.fields.lapse_deriv
     nu = geo.normal
     t = geo.tangents
     ainv = geo.induced_inv

@@ -610,6 +610,32 @@ def test_synthetic_data_zero_amplitude_is_time_symmetric():
     assert np.abs(data.evaluate(x).kbar_deriv).max() == 0.0
 
 
+@pytest.mark.parametrize(
+    "make",
+    [time_symmetric_data, lambda base: synthetic_data(base, delta=0.8, amplitude=0.5, direction=(0.6, 0.0, 0.8))],
+    ids=["time-symmetric", "synthetic"],
+)
+def test_data_lapse_is_static_schwarzschild_about_the_moved_center(make):
+    """On a moved base the lapse is ``(1 - 2m/r) / (1 + 2m/r)`` with ``r = |x - a|``, and its
+    gradient matches central differences with step ``1e-4 r``; flat data have the unit lapse."""
+    a = np.array([0.7, -0.4, 1.1])
+    base = translated(interpolated(perturbed_schwarzschild(1.0, 0.5, 0.1, "odd"), 0.4), a)
+    data = make(base)
+    x = a + sample_points(np.random.default_rng(24), n=60, rmin=8.0, rmax=200.0)
+    fields = data.evaluate(x)
+    r = np.linalg.norm(x - a, axis=-1)
+    m = base.mass
+    np.testing.assert_allclose(fields.lapse, (1.0 - 2.0 * m / r) / (1.0 + 2.0 * m / r), rtol=1e-15)
+    h = 1e-4 * r
+    step = h[:, None, None] * np.eye(3)  # step[n, k] = h_n e_k
+    fd = (data.evaluate(x[:, None, :] + step).lapse - data.evaluate(x[:, None, :] - step).lapse) / (2.0 * h[:, None])
+    error = np.abs(fd - fields.lapse_deriv).max(axis=1) / np.linalg.norm(fields.lapse_deriv, axis=1)
+    assert error.max() <= 1e-7
+
+    flat = make(euclidean()).evaluate(x)
+    assert np.all(flat.lapse == 1.0) and np.all(flat.lapse_deriv == 0.0)
+
+
 # The term-by-term metric formulas the conformal evaluators replaced: every additive
 # term builds its own full (n, 3, 3[, 3[, 3]]) array, and the arrays are then added.
 

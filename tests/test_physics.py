@@ -64,14 +64,12 @@ def test_momentum_pure_trace_kbar_nearly_cancels(schw_leaf16):
     """kbar = c g gives flux integrand -2c g(nu) whose sphere average vanishes."""
     base = schwarzschild(M)
     c = 0.3
+    fields = time_symmetric_data(base)._fields
 
-    def kb(x):
-        return c * base._g(x)
+    def pure_trace(x):
+        return replace(fields(x), kbar=c * base._g(x), kbar_deriv=c * base._dg(x))
 
-    def dkb(x):
-        return c * base._dg(x)
-
-    data = InitialDataModel(base=base, _kbar=kb, _dkbar=dkb)
+    data = InitialDataModel(base, pure_trace)
     rep = quasi_local_momentum(schw_leaf16.geometry, data, schw_leaf16.sigma)
     # scale: the integrand magnitude is ~2c over area ~4 pi sigma^2 / 8 pi
     assert np.abs(rep.quasi_local).max() < 1e-3 * c * schw_leaf16.sigma**2
@@ -417,16 +415,15 @@ def evolved_slice(data, t):
 def radial_angular_lapse(data):
     """``data`` with the lapse ``1 + 0.3 x1 / r + 4 / r``, which has radial and angular parts."""
 
-    def alpha(x):
+    def fields(x):
         r = np.linalg.norm(x, axis=-1)
-        return 1.0 + 0.3 * x[..., 0] / r + 4.0 / r
-
-    def dalpha(x):
-        r = np.linalg.norm(x, axis=-1)[..., None]
+        alpha = 1.0 + 0.3 * x[..., 0] / r + 4.0 / r
+        r = r[..., None]
         e1 = np.eye(3)[0]
-        return 0.3 * (e1 / r - x[..., 0:1] * x / r**3) - 4.0 * x / r**3
+        dalpha = 0.3 * (e1 / r - x[..., 0:1] * x / r**3) - 4.0 * x / r**3
+        return replace(data._fields(x), lapse=alpha, lapse_deriv=dalpha)
 
-    return replace(data, _alpha=alpha, _dalpha=dalpha)
+    return replace(data, _fields=fields)
 
 
 @pytest.mark.parametrize("lapse", ["schwarzschild", "radial-angular"])
@@ -552,8 +549,8 @@ def test_flow_velocity_evaluates_each_reference_once(monkeypatch):
 
 
 def test_evolution_residual_evaluates_the_data_once(monkeypatch):
-    """One ``evolution_residual`` evaluates ``kbar``, ``kbar_deriv``, the momentum density and
-    the domain check once each; the record stays on the leaf geometry for that data set."""
+    """One ``evolution_residual`` evaluates the data's fields, the momentum density and the
+    domain check once each; the record stays on the leaf geometry for that data set."""
     from cmclab import physics
 
     model = perturbed_schwarzschild(M, 0.5, 0.1, "odd")
@@ -562,11 +559,11 @@ def test_evolution_residual_evaluates_the_data_once(monkeypatch):
     calls = Counter()
     counted = counter_of(calls)
     data = synthetic_data(model, delta=1.0, amplitude=1.0, direction=(0.6, 0.0, 0.8))
-    data = replace(data, _kbar=counted("kbar", data._kbar), _dkbar=counted("kbar_deriv", data._dkbar))
+    data = replace(data, _fields=counted("fields", data._fields))
     monkeypatch.setattr(physics, "momentum_density", counted("momentum_density", physics.momentum_density))
     monkeypatch.setattr(MetricModel, "_check_domain", counted("domain", MetricModel._check_domain))
     report = evolution_residual(leaf, data)
-    once = {"kbar": 1, "kbar_deriv": 1, "momentum_density": 1, "domain": 1}
+    once = {"fields": 1, "momentum_density": 1, "domain": 1}
     assert calls == once
     quasi_local_momentum(leaf.geometry, data, leaf.sigma)
     lapse_rhs(leaf.geometry, data)
@@ -574,7 +571,7 @@ def test_evolution_residual_evaluates_the_data_once(monkeypatch):
     # another data set on the same leaf gets its own record; the first is then rebuilt
     evolution_residual(leaf, synthetic_data(model, delta=1.0, amplitude=2.0))
     again = evolution_residual(leaf, data)
-    assert calls == {"kbar": 2, "kbar_deriv": 2, "momentum_density": 3, "domain": 3}
+    assert calls == {"fields": 2, "momentum_density": 3, "domain": 3}
     assert np.array_equal(again.center_velocity, report.center_velocity)
     assert np.array_equal(again.prediction, report.prediction)
 

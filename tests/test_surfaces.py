@@ -14,6 +14,7 @@ from cmclab.cmc import (
 )
 from cmclab.errors import ConfigurationError, ResolutionWarning, SolvabilityError, SolverError
 from cmclab.models import (
+    DataFields,
     InitialDataModel,
     euclidean,
     perturbed_schwarzschild,
@@ -365,11 +366,13 @@ def test_runtime_paths_read_no_dense_matrix(monkeypatch):
     # kbar = delta with a tilted lapse does not: the degree-one parts of its source,
     # -alpha <k, kbar> = -alpha H and -(D_nu alpha) tr_Sigma kbar, cancel
     tilted = InitialDataModel(
-        base=flat,
-        _kbar=lambda x: np.broadcast_to(np.eye(3), x.shape[:-1] + (3, 3)),
-        _dkbar=lambda x: np.zeros(x.shape[:-1] + (3, 3, 3)),
-        _alpha=lambda x: 1.0 + 0.1 * x[..., 0],
-        _dalpha=lambda x: np.broadcast_to([0.1, 0.0, 0.0], x.shape),
+        flat,
+        lambda x: DataFields(
+            kbar=np.broadcast_to(np.eye(3), x.shape[:-1] + (3, 3)),
+            kbar_deriv=np.zeros(x.shape[:-1] + (3, 3, 3)),
+            lapse=1.0 + 0.1 * x[..., 0],
+            lapse_deriv=np.broadcast_to([0.1, 0.0, 0.0], x.shape),
+        ),
     )
     assert np.all(np.isfinite(solve_lapse(geo, tilted).values))
     assert np.abs(geo.apply_operator(np.ones(geo.grid.n_nodes)) - 2.0 / leaf.sigma**2).max() < 1e-12
@@ -428,10 +431,13 @@ def test_unconverged_eigenpairs_raise_and_fail_the_leaf(monkeypatch):
     monkeypatch.setattr(surfaces, "_LOBPCG_ITERATIONS", 1)
     model = perturbed_schwarzschild(1.0, 0.5, 0.1, "odd")
     s = perturbed_sphere(build_grid(12), 24.0, seed=3)
-    with pytest.raises(SolverError, match="did not converge"):
+    # the forced miss makes LOBPCG warn before the solver raises
+    missed = "not reaching the requested tolerance"
+    with pytest.raises(SolverError, match="did not converge"), pytest.warns(UserWarning, match=missed):
         low_eigenpairs(compute_geometry(s, model), n=3)
     # the sigma = 8 leaf needs more than one iteration, the sigma = 16 leaf does not
-    result = solve_foliation(model, [8.0, 16.0], SolverConfig(band_limit=12))
+    with pytest.warns(UserWarning, match=missed):
+        result = solve_foliation(model, [8.0, 16.0], SolverConfig(band_limit=12))
     assert [(f["sigma"], f["kind"]) for f in result.failures] == [(8.0, "SolverError")]
     assert "LOBPCG" in result.failures[0]["error"]
     assert [leaf.sigma for leaf in result.leaves] == [16.0]
