@@ -17,10 +17,10 @@ Conventions shared by every operation here:
   the extrinsic curvature ``kbar`` and the lapse of its slicing, so it must
   be built on that same ambient.
 * The data are evaluated once per node set: :func:`data_record` holds the
-  :class:`DataFields` of one evaluation with ``tr kbar`` and the momentum
-  density ``J`` on the geometry's nodes and is cached on the geometry for
-  that data set, so the momentum integrals, the lapse source and the
-  evolution law read one evaluation.  A flow velocity builds its sphere's
+  :class:`DataFields` of one evaluation with ``tr kbar`` and the normal
+  momentum density ``J(nu)`` on the geometry's nodes and is cached on the
+  geometry for that data set, so the momentum integrals, the lapse source
+  and the evolution law read one evaluation.  A flow velocity builds its sphere's
   metric and its record from one evaluation of the artificial data.
 """
 
@@ -37,7 +37,7 @@ from .models import (
     InitialDataModel,
     MetricModel,
     artificial_data,
-    momentum_density,
+    normal_momentum_density,
 )
 from .sphere import ScalarField, build_grid
 from .surfaces import (
@@ -113,13 +113,15 @@ class DataRecord:
 
     ``fields`` are the :class:`DataFields` of one
     :meth:`InitialDataModel.evaluate`; ``trace = g^ab kbar_ab`` and the
-    momentum density ``J`` ``(n, 3)`` are assembled with the geometry's
-    metric, inverse and Christoffel symbols.
+    normal momentum density ``J(nu)`` ``(n,)``, the only part of ``J`` the
+    momentum integrals and the lapse source read, are assembled with the
+    geometry's metric inverse, metric derivative and normal
+    (:func:`~cmclab.models.normal_momentum_density`, no Christoffel symbols).
     """
 
     fields: DataFields
     trace: np.ndarray
-    momentum_density: np.ndarray
+    normal_momentum: np.ndarray
 
 
 def data_record(geometry: SurfaceGeometry, data: InitialDataModel) -> DataRecord:
@@ -142,9 +144,7 @@ def _record(geometry: SurfaceGeometry, data: InitialDataModel, fields: DataField
     record = DataRecord(
         fields=fields,
         trace=np.einsum("nab,nab->n", geo.gbar_inv, kb),
-        momentum_density=momentum_density(
-            geo.gbar, geo.gbar_inv, geo.dgbar, geo.gamma_bar, kb, fields.kbar_deriv
-        ),
+        normal_momentum=normal_momentum_density(geo.gbar_inv, geo.dgbar, kb, fields.kbar_deriv, geo.normal),
     )
     geo.data_cache = (data, record)
     return record
@@ -176,8 +176,7 @@ def quasi_local_momentum(
     kbar_term = np.einsum("nai,na->ni", rec.fields.kbar, nu)
     p_trace = -(w[:, None] * trace_term).sum(axis=0) / EIGHT_PI
     p_kbar = (w[:, None] * kbar_term).sum(axis=0) / EIGHT_PI
-    jnu = np.einsum("na,na->n", rec.momentum_density, nu)
-    correction = sigma * (w_corr[:, None] * (jnu[:, None] * nu)).sum(axis=0) / EIGHT_PI
+    correction = sigma * (w_corr[:, None] * (rec.normal_momentum[:, None] * nu)).sum(axis=0) / EIGHT_PI
     return MomentumReport(
         sigma=sigma,
         quasi_local=p_trace + p_kbar,
@@ -206,8 +205,7 @@ def adm_center_integral(model: MetricModel, radius: float, center=(0.0, 0.0, 0.0
     center = np.asarray(center, dtype=float).reshape(3)
     N = grid.directions
     x = center + radius * N
-    g = model.metric(x)
-    dg = model.metric_deriv(x)
+    g, dg = model.jet(x, 1)
     div_term = np.einsum("njjk,nk->n", dg, N) - np.einsum("nkjj,nk->n", dg, N)
     vec = (
         radius * N * div_term[:, None]
@@ -242,8 +240,6 @@ def lapse_rhs(geometry: SurfaceGeometry, data: InitialDataModel) -> ScalarField:
     X = np.einsum("nIJ,nI,nJa->na", ainv, omega, t)  # raised, ambient components
     div_knu = surface_divergence(geo, X)
 
-    jnu = np.einsum("na,na->n", rec.momentum_density, nu)
-
     kb_surf = np.einsum("nab,nIa,nJb->nIJ", kb, t, t)
     k_dot_kbar = np.einsum("nIJ,nKL,nIK,nJL->n", ainv, ainv, geo.second_fund, kb_surf)
 
@@ -254,7 +250,7 @@ def lapse_rhs(geometry: SurfaceGeometry, data: InitialDataModel) -> ScalarField:
     grad_alpha_tan = grad_alpha_amb - d_nu_alpha[:, None] * nu
     kbar_nu_grad = np.einsum("nab,na,nb->n", kb, nu, grad_alpha_tan)
 
-    values = alpha * (div_knu - jnu - k_dot_kbar) - d_nu_alpha * surface_trace + 2.0 * kbar_nu_grad
+    values = alpha * (div_knu - rec.normal_momentum - k_dot_kbar) - d_nu_alpha * surface_trace + 2.0 * kbar_nu_grad
     return ScalarField(geo.grid, values)
 
 

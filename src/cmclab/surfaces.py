@@ -183,20 +183,23 @@ class SurfaceGeometry:
 
     Instances are computed once by :func:`compute_geometry` and treated as
     immutable.  The constructor builds what every reader needs: the
-    positions, the ambient metric ``gbar``, its derivative, inverse and
-    Christoffel symbols, the outward unit normal ``nu``, both area elements
-    (``weights_induced``, ``weights_euclidean``), ``area`` and
-    ``sigma_scale``.  The area elements come from the surface's conormal
-    ``n = t_theta x t_phi`` (:attr:`SurfaceEmbedding.chart`):
-    ``det(t t^T) = |n|^2`` and ``det(t gbar t^T) = det gbar * n gbar^-1 n``,
-    and ``nu`` is ``gbar^-1 n`` normalised.  The ``tangents``, the induced
-    metric ``a = t gbar t^T`` (``induced``), its inverse, ``normal_flat``,
+    positions, the ambient metric ``gbar`` and its derivative (one
+    :meth:`MetricModel.jet`), its inverse, the outward unit normal ``nu``,
+    both area elements (``weights_induced``, ``weights_euclidean``),
+    ``area`` and ``sigma_scale``.  The area elements come from the
+    surface's conormal ``n = t_theta x t_phi``
+    (:attr:`SurfaceEmbedding.chart`): ``det(t t^T) = |n|^2`` and
+    ``det(t gbar t^T) = det gbar * n gbar^-1 n``, and ``nu`` is
+    ``gbar^-1 n`` normalised.  The ambient Christoffel symbols
+    ``gamma_bar`` are built on first read (by ``second_fund``,
+    ``Ric(nu, nu)`` and :func:`surface_divergence`; the momentum integrals
+    never read them), and so are the ``tangents``, the induced metric
+    ``a = t gbar t^T`` (``induced``), its inverse, ``normal_flat``,
     ``second_fund`` (``k``), ``mean_curvature``, ``|k|^2``, the trace-free
     part of ``k``, ``Ric(nu, nu)``, the stability potential, the l <= 1
-    Galerkin block and the operator's exact kernel are computed on first
-    use and cached, and so is the record of the initial data read on the
-    nodes (``data_cache``).  No solve reads the dense (test-oracle)
-    matrices.
+    Galerkin block and the operator's exact kernel, each cached; so is the
+    record of the initial data read on the nodes (``data_cache``).  No
+    solve reads the dense (test-oracle) matrices.
     """
 
     def __init__(self, surface: SurfaceEmbedding, model: MetricModel, metric=None):
@@ -208,11 +211,8 @@ class SurfaceGeometry:
         chart = surface.chart
         self.positions = x = surface.positions
 
-        gbar, dgbar = metric if metric is not None else (model.metric(x), model.metric_deriv(x))
-        self.gbar = gbar
-        self.dgbar = dgbar
-        self.gbar_inv, det_g = _inverse_and_det(gbar)
-        self.gamma_bar = _christoffel_from(self.gbar_inv, dgbar)
+        self.gbar, self.dgbar = metric if metric is not None else model.jet(x, 1)
+        self.gbar_inv, det_g = _inverse_and_det(self.gbar)
 
         # with the conormal n = t_theta x t_phi: det(t gbar t^T) = det gbar * n gbar^-1 n
         nu = np.einsum("nij,nj->ni", self.gbar_inv, chart.conormal)
@@ -237,6 +237,11 @@ class SurfaceGeometry:
         #: ``(data, record)`` of the last initial data set read on these nodes
         #: (:func:`cmclab.physics.data_record`)
         self.data_cache = None
+
+    @cached_property
+    def gamma_bar(self) -> np.ndarray:
+        """Ambient Christoffel symbols ``Gamma^k_ij`` at the nodes, shape (n, 3, 3, 3)."""
+        return _christoffel_from(self.gbar_inv, self.dgbar)
 
     @cached_property
     def tangents(self) -> np.ndarray:

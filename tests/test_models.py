@@ -17,6 +17,7 @@ from cmclab.models import (
     euclidean,
     interpolated,
     momentum_density,
+    normal_momentum_density,
     perturbed_schwarzschild,
     ricci,
     scalar_curvature,
@@ -76,7 +77,16 @@ ALL_MODELS = [
     perturbed_schwarzschild(1.0, 0.5, 0.1, "odd"),
     translated(schwarzschild(1.0), (5.0, -2.0, 1.0)),
     interpolated(perturbed_schwarzschild(1.0, 0.5, 0.1, "odd"), 0.35),
+    euclidean(),
+    # compositions: each layer passes the order through to the jets below it
+    translated(interpolated(perturbed_schwarzschild(1.0, 0.5, 0.3, "even"), 0.6), (0.3, -0.2, 0.1)),
+    interpolated(translated(perturbed_schwarzschild(1.0, 0.5, 0.1, "odd"), (0.5, 0.2, -0.4)), 0.35),
+    translated(translated(perturbed_schwarzschild(1.0, 0.5, 0.1, "odd"), (0.5, 0.2, -0.4)), (-1.0, 0.0, 2.0)),
 ]
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def test_schwarzschild_metric_value():
@@ -121,6 +131,18 @@ def test_analytic_first_derivatives_match_fd(model):
     an = model.metric_deriv(x)
     scale = np.abs(fd).max()
     assert np.abs(an - fd).max() < 1e-6 * max(scale, 1e-3)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+def test_jet_orders_and_accessors_agree_bit_for_bit(model):
+    """``jet(x, 1)`` is the first two parts of ``jet(x, 2)``, and each accessor reads one part."""
+    x = sample_points(np.random.default_rng(3), n=50, rmin=6.0 + np.linalg.norm(model.exclusion_center))
+    g, dg = model.jet(x, 1)
+    g2, dg2, d2g = model.jet(x, 2)
+    assert (g.shape, dg.shape, d2g.shape) == ((50, 3, 3), (50, 3, 3, 3), (50, 3, 3, 3, 3))
+    assert same_bits(g, g2) and same_bits(dg, dg2)
+    for got, want in zip((model.metric(x), model.metric_deriv(x), model.metric_deriv2(x)), (g, dg, d2g)):
+        assert same_bits(got, want)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
@@ -379,19 +401,23 @@ def test_inverse_metric_rejects_indefinite_metrics(g):
         models._inverse_metric(stack)
 
 
-def test_momentum_density_matches_three_operand_contractions():
-    """The connection terms, contracted two at a time, agree with the plain three-operand sums."""
-    rng = np.random.default_rng(12)
-    a = rng.standard_normal((6, 3, 3))
+def random_tensor_stack(rng, n):
+    """Random SPD metrics with symmetric ``dg``, ``kbar`` and ``dkbar``, sharing no frame with ``g``."""
+    a = rng.standard_normal((n, 3, 3))
     g = np.einsum("nij,nkj->nik", a, a) + 3.0 * np.eye(3)
-    ginv = np.linalg.inv(g)
 
     def sym(t):
         return t + np.swapaxes(t, -1, -2)
 
-    dg = sym(rng.standard_normal((6, 3, 3, 3)))
-    kb = sym(rng.standard_normal((6, 3, 3)))
-    dkb = sym(rng.standard_normal((6, 3, 3, 3)))
+    dg = sym(rng.standard_normal((n, 3, 3, 3)))
+    kb = sym(rng.standard_normal((n, 3, 3)))
+    dkb = sym(rng.standard_normal((n, 3, 3, 3)))
+    return g, np.linalg.inv(g), dg, kb, dkb
+
+
+def test_momentum_density_matches_three_operand_contractions():
+    """The connection terms, contracted two at a time, agree with the plain three-operand sums."""
+    g, ginv, dg, kb, dkb = random_tensor_stack(np.random.default_rng(12), 6)
     gamma = _christoffel_from(ginv, dg)
     hbar = np.einsum("...ab,...ab->...", ginv, kb)
     dginv = -np.einsum("...ka,...mab,...bl->...mkl", ginv, dg, ginv)
@@ -407,10 +433,45 @@ def test_momentum_density_matches_three_operand_contractions():
     assert np.abs(J - reference).max() <= 1e-14 * np.abs(reference).max()
 
 
+def normal_momentum_density_at(data, x, nu):
+    g = data.base.metric(x)
+    fields = data.evaluate(x)
+    return normal_momentum_density(np.linalg.inv(g), data.base.metric_deriv(x), fields.kbar, fields.kbar_deriv, nu)
+
+
+@pytest.mark.parametrize("seed", [12, 13, 14])
+def test_normal_momentum_density_is_the_momentum_density_along_nu(seed):
+    """``J(nu)`` from first derivatives equals ``J . nu`` where ``g^-1`` and ``kbar`` do not commute.
+
+    Random SPD stacks share no frame between ``g`` and ``kbar``, so a slip in the
+    order of ``u = g^-1 kbar nu`` (for example ``kbar g^-1 nu``) shows here although
+    it cancels on every conformally flat model.  Extra leading axes pass through.
+    """
+    rng = np.random.default_rng(seed)
+    g, ginv, dg, kb, dkb = random_tensor_stack(rng, 50)
+    nu = rng.standard_normal((50, 3))
+    expect = np.einsum("ni,ni->n", momentum_density(g, ginv, dg, _christoffel_from(ginv, dg), kb, dkb), nu)
+    got = normal_momentum_density(ginv, dg, kb, dkb, nu)
+    assert got.shape == (50,)
+    assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+    stacked = normal_momentum_density(*(a.reshape((5, 10) + a.shape[1:]) for a in (ginv, dg, kb, dkb, nu)))
+    assert np.array_equal(stacked, got.reshape(5, 10))
+
+
+def test_normal_momentum_density_matches_full_vector_on_anisotropic_data():
+    data = AnisotropicData(np.random.default_rng(26))
+    rng = np.random.default_rng(27)
+    x = rng.uniform(-0.6, 0.6, size=(40, 3))
+    nu = rng.standard_normal((40, 3))
+    expect = np.einsum("ni,ni->n", momentum_density_at(data, x), nu)
+    assert np.abs(normal_momentum_density_at(data, x, nu) - expect).max() <= 1e-14 * np.abs(expect).max()
+
+
 def test_time_symmetric_data_has_zero_momentum_density():
     data = time_symmetric_data(schwarzschild(1.0))
     x = sample_points(np.random.default_rng(6), n=10)
     assert np.abs(momentum_density_at(data, x)).max() == 0.0
+    assert np.abs(normal_momentum_density_at(data, x, x / np.linalg.norm(x, axis=-1, keepdims=True))).max() == 0.0
     assert np.abs(energy_density(data, x)).max() < 1e-10  # vacuum slice
 
 
@@ -466,11 +527,19 @@ def assert_momentum_density_matches_fd_divergence(data, x, h):
             - np.einsum("...jk,...lji,...kl->...i", ginv, gamma, pi)
         )
 
-    exact = momentum_density_at(data, x)
-    err1 = np.abs(fd_div(h) - exact).max()
-    err2 = np.abs(fd_div(h / 2) - exact).max()
-    assert err1 < 1e-7
-    assert err1 / err2 > 3.0
+    # the normal form along fixed unit vectors is held to the same FD divergence
+    nu = np.random.default_rng(28).standard_normal(x.shape)
+    nu /= np.linalg.norm(nu, axis=-1, keepdims=True)
+    fd = [fd_div(h), fd_div(h / 2)]
+    checks = [
+        (momentum_density_at(data, x), fd),
+        (normal_momentum_density_at(data, x, nu), [np.einsum("ni,ni->n", d, nu) for d in fd]),
+    ]
+    for exact, (coarse, fine) in checks:
+        err1 = np.abs(coarse - exact).max()
+        err2 = np.abs(fine - exact).max()
+        assert err1 < 1e-7
+        assert err1 / err2 > 3.0
 
 
 def test_momentum_density_matches_fd_divergence():
@@ -489,32 +558,24 @@ def test_momentum_density_matches_fd_divergence_on_anisotropic_metric():
 
 
 def test_interpolated_metric_evaluates_each_end_once(monkeypatch):
-    """``gS + tau (g - gS)`` calls the reference and the model evaluator once each."""
+    """``gS + tau (g - gS)`` calls the reference jet and the model jet once each, at the order read."""
     calls = Counter()
 
-    def counted(name, fn):
-        def wrapper(x):
-            calls[name] += 1
-            return fn(x)
+    def counted(name, jet):
+        def wrapper(x, order):
+            calls[f"{name}{order}"] += 1
+            return jet(x, order)
 
         return wrapper
 
-    reference = models._anchored_schwarzschild_evaluators
+    reference = models._anchored_schwarzschild_jet
     monkeypatch.setattr(
-        models,
-        "_anchored_schwarzschild_evaluators",
-        lambda mass, anchor: tuple(counted(f"reference{i}", f) for i, f in enumerate(reference(mass, anchor))),
+        models, "_anchored_schwarzschild_jet", lambda mass, anchor: counted("reference", reference(mass, anchor))
     )
     model = perturbed_schwarzschild(1.0, 0.5, 0.1, "odd")
-    model = replace(
-        model,
-        _g=counted("model0", model._g),
-        _dg=counted("model1", model._dg),
-        _d2g=counted("model2", model._d2g),
-    )
-    mixed = interpolated(model, 0.35)
+    mixed = interpolated(replace(model, _jet=counted("model", model._jet)), 0.35)
     x = sample_points(np.random.default_rng(9), n=4)
-    for order, evaluate in enumerate((mixed.metric, mixed.metric_deriv, mixed.metric_deriv2)):
+    for order, evaluate in zip((1, 1, 2), (mixed.metric, mixed.metric_deriv, mixed.metric_deriv2)):
         calls.clear()
         evaluate(x)
         assert calls == {f"model{order}": 1, f"reference{order}": 1}
@@ -702,10 +763,11 @@ def _expanded_perturbed(m, epsilon, A, shape, x):
     ids=["schwarzschild", "euclidean", "even", "odd", "translated", "interpolated"],
 )
 def test_conformal_evaluators_equal_term_by_term_expansion(model, reference):
-    """Adding the scalar factors before one ``_ID3`` expansion gives the same arrays.
+    """Adding the scalar factors before one diagonal expansion gives the same arrays.
 
-    The 0/1 entries of the identity make the expansion exact, so the arrays
-    equal the term-by-term sums exactly (up to the sign of exact zeros).
+    The expansion writes each factor into the diagonal of a zero array, so the
+    arrays equal the term-by-term ``_ID3`` products and sums exactly (up to the
+    sign of exact zeros).
     """
     x = sample_points(np.random.default_rng(17), n=200, rmin=5.0, rmax=200.0)
     expected = reference(x)

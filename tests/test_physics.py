@@ -67,7 +67,8 @@ def test_momentum_pure_trace_kbar_nearly_cancels(schw_leaf16):
     fields = time_symmetric_data(base)._fields
 
     def pure_trace(x):
-        return replace(fields(x), kbar=c * base._g(x), kbar_deriv=c * base._dg(x))
+        g, dg = base._jet(x, 1)
+        return replace(fields(x), kbar=c * g, kbar_deriv=c * dg)
 
     data = InitialDataModel(base, pure_trace)
     rep = quasi_local_momentum(schw_leaf16.geometry, data, schw_leaf16.sigma)
@@ -395,21 +396,22 @@ def test_lapse_rhs_matches_metric_variation_oracle():
 def evolved_slice(data, t):
     """The first-order evolved slice ``g - 2 t alpha kbar`` (zero shift) as a metric model.
 
-    ``g`` and ``dg`` come from one evaluation of the data per call; ``d2g`` stays the
+    ``g`` and ``dg`` come from one evaluation of the data per jet; ``d2g`` stays the
     base model's, which feeds only the Newton Jacobian.
     """
     base = data.base
 
-    def g(x):
+    def jet(x, order):
         f = data.evaluate(x)
-        return base._g(x) - 2.0 * t * f.lapse[..., None, None] * f.kbar
-
-    def dg(x):
-        f = data.evaluate(x)
+        g, dg, *d2g = base._jet(x, order)
         d_alpha_kbar = f.lapse_deriv[..., :, None, None] * f.kbar[..., None, :, :]
-        return base._dg(x) - 2.0 * t * (d_alpha_kbar + f.lapse[..., None, None, None] * f.kbar_deriv)
+        return (
+            g - 2.0 * t * f.lapse[..., None, None] * f.kbar,
+            dg - 2.0 * t * (d_alpha_kbar + f.lapse[..., None, None, None] * f.kbar_deriv),
+            *d2g,
+        )
 
-    return replace(base, name=f"evolved({base.name}, t={t:g})", _g=g, _dg=dg)
+    return replace(base, name=f"evolved({base.name}, t={t:g})", _jet=jet)
 
 
 def radial_angular_lapse(data):
@@ -471,37 +473,36 @@ def test_lapse_velocity_matches_time_oracle(ambient, sigma):
 
 
 def test_each_ambient_tensor_is_evaluated_once(monkeypatch):
-    """A geometry evaluates g and dg once and d2g only when the potential is first read.
+    """A geometry evaluates the jet of g and dg once and that of d2g only when the potential
+    is first read.
 
     The momentum and lapse sources reuse the geometry's tensors and evaluate nothing;
     they build neither ``|k|^2`` nor the trace-free part of ``k``.  The momentum
-    flux builds no second fundamental form either; the lapse source does.
+    flux builds no second fundamental form and no Christoffel symbols either; the
+    lapse source does.
     """
     calls = Counter()
+    jet = MetricModel.jet
 
-    def counted(name, method):
-        def wrapper(self, x):
-            calls[name] += 1
-            return method(self, x)
+    def counted(self, x, order):
+        calls[f"jet{order}"] += 1
+        return jet(self, x, order)
 
-        return wrapper
-
-    for name in ("metric", "metric_deriv", "metric_deriv2"):
-        monkeypatch.setattr(MetricModel, name, counted(name, getattr(MetricModel, name)))
+    monkeypatch.setattr(MetricModel, "jet", counted)
     model = perturbed_schwarzschild(M, 0.5, 0.1, "odd")
     data = synthetic_data(model, delta=1.0, amplitude=1.0, direction=(0.6, 0.0, 0.8))
     sphere = SurfaceEmbedding.round_sphere(build_grid(8), 16.0, (0.2, -0.1, 0.3))
     geo = compute_geometry(sphere, model)
-    assert calls == {"metric": 1, "metric_deriv": 1}
+    assert calls == {"jet1": 1}
     calls.clear()
     quasi_local_momentum(geo, data, geo.sigma_scale)
-    assert not {"second_derivs", "second_fund", "mean_curvature"} & vars(geo).keys()
+    assert not {"gamma_bar", "second_derivs", "second_fund", "mean_curvature"} & vars(geo).keys()
     lapse_rhs(geo, data)
-    assert "second_fund" in vars(geo)
+    assert {"gamma_bar", "second_fund"} <= vars(geo).keys()
     assert not calls
     assert "k_norm2" not in vars(geo) and "trace_free" not in vars(geo)
     geo.potential
-    assert calls == {"metric_deriv2": 1}
+    assert calls == {"jet2": 1}
     assert "k_norm2" in vars(geo) and "trace_free" not in vars(geo)
     calls.clear()
     geo.potential
@@ -524,33 +525,36 @@ def counter_of(calls):
 
 
 def test_flow_velocity_evaluates_each_reference_once(monkeypatch):
-    """One flow velocity evaluates the model's ``g`` and ``dg``, the anchored ``gS`` and ``dgS``
-    and the domain check once each: the sphere's metric and ``kbar`` share that evaluation."""
+    """One flow velocity evaluates one first-order jet of the model, one of the anchored
+    Schwarzschild reference and the domain check: the sphere's metric and ``kbar`` share them."""
     from cmclab import models, physics
 
     calls = Counter()
     counted = counter_of(calls)
+
+    def counted_jet(name, jet):
+        def wrapper(x, order):
+            calls[f"{name}{order}"] += 1
+            return jet(x, order)
+
+        return wrapper
+
     odd = perturbed_schwarzschild(M, 0.5, 0.1, "odd")
-    model = translated(replace(odd, _g=counted("g", odd._g), _dg=counted("dg", odd._dg)), (0.2, -0.1, 0.3))
-    evaluators = models._schwarzschild_evaluators
-
-    def counted_reference(mass):
-        gs, dgs, *rest = evaluators(mass)
-        return (counted("gS", gs), counted("dgS", dgs), *rest)
-
-    monkeypatch.setattr(models, "_schwarzschild_evaluators", counted_reference)
+    model = translated(replace(odd, _jet=counted_jet("jet", odd._jet)), (0.2, -0.1, 0.3))
+    reference = models._schwarzschild_jet
+    monkeypatch.setattr(models, "_schwarzschild_jet", lambda mass: counted_jet("reference", reference(mass)))
     monkeypatch.setattr(MetricModel, "_check_domain", counted("domain", MetricModel._check_domain))
     monkeypatch.setattr(physics, "quasi_local_momentum", counted("velocity", physics.quasi_local_momentum))
     flow = artificial_flow_integrate(model, 32.0, tau_steps=1, band_limit=8)
     assert np.all(np.isfinite(flow.centers))
     n = calls["velocity"]
     assert n == 4  # the four stages of one RK4 step
-    assert calls == {"velocity": n, "g": n, "dg": n, "gS": n, "dgS": n, "domain": n}
+    assert calls == {"velocity": n, "jet1": n, "reference1": n, "domain": n}
 
 
 def test_evolution_residual_evaluates_the_data_once(monkeypatch):
-    """One ``evolution_residual`` evaluates the data's fields, the momentum density and the
-    domain check once each; the record stays on the leaf geometry for that data set."""
+    """One ``evolution_residual`` evaluates the data's fields, the normal momentum density and
+    the domain check once each; the record stays on the leaf geometry for that data set."""
     from cmclab import physics
 
     model = perturbed_schwarzschild(M, 0.5, 0.1, "odd")
@@ -560,10 +564,12 @@ def test_evolution_residual_evaluates_the_data_once(monkeypatch):
     counted = counter_of(calls)
     data = synthetic_data(model, delta=1.0, amplitude=1.0, direction=(0.6, 0.0, 0.8))
     data = replace(data, _fields=counted("fields", data._fields))
-    monkeypatch.setattr(physics, "momentum_density", counted("momentum_density", physics.momentum_density))
+    monkeypatch.setattr(
+        physics, "normal_momentum_density", counted("normal_momentum_density", physics.normal_momentum_density)
+    )
     monkeypatch.setattr(MetricModel, "_check_domain", counted("domain", MetricModel._check_domain))
     report = evolution_residual(leaf, data)
-    once = {"fields": 1, "momentum_density": 1, "domain": 1}
+    once = {"fields": 1, "normal_momentum_density": 1, "domain": 1}
     assert calls == once
     quasi_local_momentum(leaf.geometry, data, leaf.sigma)
     lapse_rhs(leaf.geometry, data)
@@ -571,7 +577,7 @@ def test_evolution_residual_evaluates_the_data_once(monkeypatch):
     # another data set on the same leaf gets its own record; the first is then rebuilt
     evolution_residual(leaf, synthetic_data(model, delta=1.0, amplitude=2.0))
     again = evolution_residual(leaf, data)
-    assert calls == {"fields": 2, "momentum_density": 3, "domain": 3}
+    assert calls == {"fields": 2, "normal_momentum_density": 3, "domain": 3}
     assert np.array_equal(again.center_velocity, report.center_velocity)
     assert np.array_equal(again.prediction, report.prediction)
 
@@ -605,6 +611,27 @@ def test_artificial_flow_builds_no_ricci_tensor(monkeypatch):
     assert calls["ricci"] == 0
     assert calls["quasi_local_momentum"] == 4  # the four stages of one RK4 step
     assert calls["synthesize_values"] == 3 + calls["quasi_local_momentum"]
+
+
+def test_artificial_flow_builds_no_christoffel_symbols(monkeypatch):
+    """Flow velocities read the momentum flux and ``J(nu)``, neither of which needs ``Gamma``.
+
+    The Christoffel symbols are built on the first read of ``gamma_bar``; a
+    Newton geometry reads them for the second fundamental form, a flow velocity never.
+    """
+    from cmclab import physics, surfaces
+
+    calls = Counter()
+    counted = counter_of(calls)
+    monkeypatch.setattr(surfaces, "_christoffel_from", counted("christoffel", surfaces._christoffel_from))
+    monkeypatch.setattr(physics, "quasi_local_momentum", counted("velocity", physics.quasi_local_momentum))
+    model = perturbed_schwarzschild(M, 0.5, 0.1, "odd")
+    flow = artificial_flow_integrate(model, 32.0, tau_steps=1, band_limit=8)
+    assert np.all(np.isfinite(flow.centers))
+    assert calls == {"velocity": 4}
+    geo = compute_geometry(SurfaceEmbedding.round_sphere(build_grid(8), 32.0), model)
+    geo.mean_curvature
+    assert calls["christoffel"] == 1
 
 
 def test_translated_flow_sphere_shares_its_chart_and_matches_a_fresh_sphere():
