@@ -203,11 +203,7 @@ def stage_artificial(config: ExperimentConfig):
     rows, records = [], []
     for sigma in config.sigmas:
         flow = artificial_flow_integrate(
-            model,
-            sigma,
-            tau_steps=config.tau_steps,
-            kbar_factor=config.kbar_factor,
-            band_limit=min(config.band_limit, 16),
+            model, sigma, tau_steps=config.tau_steps, band_limit=min(config.band_limit, 16)
         )
         for tau, z in zip(flow.taus, flow.centers):
             rows.append([sigma, tau, *z])
@@ -341,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--radii", type=_csv_floats, default=None, help="dyadic radii")
         if name == "artificial":
             p.add_argument("--tau-steps", type=int, default=None)
-            p.add_argument("--kbar-factor", type=float, default=None)
     return parser
 
 
@@ -360,8 +355,6 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
         config.adm_radii = args.radii
     if getattr(args, "tau_steps", None) is not None:
         config.tau_steps = args.tau_steps
-    if getattr(args, "kbar_factor", None) is not None:
-        config.kbar_factor = args.kbar_factor
     # re-validate after overrides
     return config_from_dict(config.to_record())
 

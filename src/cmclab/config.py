@@ -48,7 +48,7 @@ _SOLVER_KEYS = {
     "compute_eigenvalues",
 }
 _ADM_KEYS = {"radii"}
-_ARTIFICIAL_KEYS = {"tau_steps", "kbar_factor"}
+_ARTIFICIAL_KEYS = {"tau_steps"}
 _TOP_KEYS = {"model", "run", "solver", "adm", "artificial"}
 
 _KINDS = ("schwarzschild", "euclidean", "perturbed")
@@ -107,7 +107,6 @@ class ExperimentConfig:
     solver_overrides: dict = field(default_factory=dict)
     adm_radii: list = field(default_factory=lambda: [32.0, 64.0, 128.0, 256.0])
     tau_steps: int = 20
-    kbar_factor: float = 0.5
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(band_limit=self.band_limit, **self.solver_overrides)
@@ -153,7 +152,7 @@ class ExperimentConfig:
             "run": {"sigmas": list(self.sigmas), "band_limit": self.band_limit, "out": self.out},
             "solver": dict(self.solver_overrides),
             "adm": {"radii": list(self.adm_radii)},
-            "artificial": {"tau_steps": self.tau_steps, "kbar_factor": self.kbar_factor},
+            "artificial": {"tau_steps": self.tau_steps},
         }
 
 
@@ -219,8 +218,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if "tau_steps" in art:
         cfg.tau_steps = _typed("artificial", "tau_steps", art["tau_steps"], int)
         _require_range("artificial", "tau_steps", cfg.tau_steps, lambda v: v >= 1, ">= 1")
-    if "kbar_factor" in art:
-        cfg.kbar_factor = _typed("artificial", "kbar_factor", art["kbar_factor"], float)
 
     return cfg
 

@@ -370,11 +370,12 @@ def time_symmetric_data(base: MetricModel) -> InitialDataModel:
 def synthetic_data(
     base: MetricModel, delta: float, amplitude: float, direction: Sequence[float] = (1.0, 0.0, 0.0)
 ) -> InitialDataModel:
-    """Closed-form extrinsic curvature ``B (b_i x_j + b_j x_i) / r^(2+delta)``.
+    """Closed-form extrinsic curvature ``B (b_i y_j + b_j y_i) / r^(2+delta)``, ``y = x - c``, ``r = |y|``.
 
     Decays like ``r^-(1+delta)``; the lapse is the static Schwarzschild one
-    of the base mass about its exclusion center, so the data satisfy the
-    declared decay class with any ``delta`` in ``(0, 1]``.
+    of the base mass about ``c``, the base's exclusion center, so the data
+    satisfy the declared decay class with any ``delta`` in ``(0, 1]`` and
+    move with a translation of the base.
     """
     if not (0.0 < delta <= 1.0):
         raise ModelError(f"kbar decay exponent delta must lie in (0, 1], got {delta}")
@@ -391,30 +392,28 @@ def synthetic_data(
     dlin = _ID3[:, None, :] * b[None, :, None] + _ID3[:, :, None] * b[None, None, :]
 
     def fields(x):
-        r = np.linalg.norm(x, axis=-1)[..., None, None]
-        bx = b[:, None] * x[..., None, :] + x[..., :, None] * b[None, :]
+        y = x - base.exclusion_center
+        r = np.linalg.norm(y, axis=-1)[..., None, None]
+        by = b[:, None] * y[..., None, :] + y[..., :, None] * b[None, :]
         decay = r ** -(2.0 + delta)
         dkb = B * (
             dlin * decay[..., None]
-            - (2.0 + delta) * x[..., :, None, None] * bx[..., None, :, :] * r[..., None] ** -(4.0 + delta)
+            - (2.0 + delta) * y[..., :, None, None] * by[..., None, :, :] * r[..., None] ** -(4.0 + delta)
         )
-        return DataFields(B * bx * decay, dkb, *_static_lapse(base.mass, base.exclusion_center, x))
+        return DataFields(B * by * decay, dkb, *_static_lapse(base.mass, base.exclusion_center, x))
 
     return InitialDataModel(base, fields)
 
 
-def artificial_data(
-    model: MetricModel, tau: float, factor: float = 0.5, anchor=None
-) -> InitialDataModel:
+def artificial_data(model: MetricModel, tau: float, anchor=None) -> InitialDataModel:
     """Slice data of the artificial product spacetime at interpolation time ``tau``.
 
     The ambient metric is ``interpolated(model, tau)``; the slice extrinsic
-    curvature is ``factor * (gS - g)`` with unit lapse.  ``factor = 0.5`` is
-    the definitional value ``-(1/2) d_tau g_tau``; ``factor = 2.0`` is kept
-    as a diagnostic variant (see the decay/center comparison reports).  One
-    jet of ``g`` and one of ``gS`` give both the ambient metric with its
-    derivative (bit for bit those of :func:`interpolated`) and ``kbar`` with
-    its derivative, through the one difference ``g - gS``.
+    curvature is ``(gS - g) / 2 = -(1/2) d_tau g_tau``, the one the
+    evolution ``d_tau g = -2 kbar`` with unit lapse defines.  One jet of
+    ``g`` and one of ``gS`` give both the ambient metric with its derivative
+    (bit for bit those of :func:`interpolated`) and ``kbar`` with its
+    derivative, through the one difference ``g - gS``.
     """
     anchor = np.asarray(
         anchor if anchor is not None else model.exclusion_center, dtype=float
@@ -426,8 +425,8 @@ def artificial_data(
         (a, da), (b, db) = reference(x, 1), model._jet(x, 1)
         d, dd = b - a, db - da
         return DataFields(
-            kbar=-factor * d,
-            kbar_deriv=-factor * dd,
+            kbar=-0.5 * d,
+            kbar_deriv=-0.5 * dd,
             lapse=np.ones(x.shape[:-1]),
             lapse_deriv=np.zeros(x.shape),
             metric=a + tau * d,

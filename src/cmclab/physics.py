@@ -332,7 +332,6 @@ class ArtificialFlowResult:
     sigma: float
     taus: np.ndarray
     centers: np.ndarray  # (len(taus), 3)
-    kbar_factor: float
 
     @property
     def endpoint(self) -> np.ndarray:
@@ -344,7 +343,6 @@ class ArtificialFlowResult:
             "taus": self.taus.tolist(),
             "centers": self.centers.tolist(),
             "endpoint": self.endpoint.tolist(),
-            "kbar_factor": self.kbar_factor,
         }
 
 
@@ -352,7 +350,6 @@ def artificial_flow_integrate(
     model: MetricModel,
     sigma: float,
     tau_steps: int = 20,
-    kbar_factor: float = 0.5,
     band_limit: int = 16,
     anchor=None,
 ) -> ArtificialFlowResult:
@@ -362,11 +359,9 @@ def artificial_flow_integrate(
     Schwarzschild end, whose leaves are concentric there), the center
     moves with the instantaneous velocity ``pseudo-momentum / m``
     evaluated on the Euclidean sphere ``S^2_sigma(z(tau))`` inside the
-    interpolated metric; classical RK4 with fixed step.  ``kbar_factor =
-    0.5`` is the definitional slice curvature of the interpolation
-    spacetime; ``2.0`` is kept as a diagnostic variant.  ``anchor``
-    defaults to the model's exclusion center, which makes the flow
-    exactly translation-equivariant.
+    interpolated metric, with the slice data of :func:`artificial_data`;
+    classical RK4 with fixed step.  ``anchor`` defaults to the model's
+    exclusion center, which makes the flow exactly translation-equivariant.
     """
     if tau_steps < 1:
         raise ConfigurationError("need at least one integration step")
@@ -383,7 +378,7 @@ def artificial_flow_integrate(
 
     def velocity(tau: float, z: np.ndarray) -> np.ndarray:
         # one evaluation of the data gives the sphere's metric and the data record
-        data = artificial_data(model, tau, factor=kbar_factor, anchor=anchor)
+        data = artificial_data(model, tau, anchor=anchor)
         sphere = origin_sphere.translate(z)
         fields = data.evaluate(sphere.positions)
         geo = SurfaceGeometry(sphere, data.base, (fields.metric, fields.metric_deriv))
@@ -403,7 +398,7 @@ def artificial_flow_integrate(
         k4 = velocity(t0 + h, z + h * k3)
         z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         centers[k + 1] = z
-    return ArtificialFlowResult(sigma=float(sigma), taus=taus, centers=centers, kbar_factor=kbar_factor)
+    return ArtificialFlowResult(sigma=float(sigma), taus=taus, centers=centers)
 
 
 @dataclass(frozen=True)
@@ -494,8 +489,11 @@ def evolution_law(leaves, data: InitialDataModel, gate) -> Claim:
 
 
 def center_growth(leaves, gate) -> Claim:
-    """``|z|`` of each leaf center (zero within ``_CANONICAL_CENTER_TOL * sigma``); growth is minus its exponent."""
-    values = [float(np.linalg.norm(leaf.center)) for leaf in leaves]
+    """``|z - c|`` of each leaf center ``z``, ``c`` the exclusion center of its ambient, which a translation moves too.
+
+    Zero within ``_CANONICAL_CENTER_TOL * sigma``; growth is minus the fitted exponent.
+    """
+    values = [float(np.linalg.norm(leaf.center - leaf.geometry.model.exclusion_center)) for leaf in leaves]
     return _claim(leaves, values, gate, floor=lambda sigma: _CANONICAL_CENTER_TOL * sigma)
 
 

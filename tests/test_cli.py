@@ -263,40 +263,54 @@ def test_study_evolution_gate_reads_configured_delta(tmp_path):
     assert rows["center_growth"] == {"quantity": "center_growth", "exponent": 0.0, "fit_residual": 0.0, "passed": True}
 
 
-@pytest.mark.parametrize("B", [1.0, 0.0])
-def test_study_gate_fails_on_a_pre_asymptotic_center_growth(tmp_path, B):
-    """A translated odd model whose center-growth fit over sigma = 16-128 is pre-asymptotic.
+def _seed_2117_study(out, B, translate=True):
+    """The study config of a benchmark draw: the odd model translated by a = (-0.161, 0.076, 0.037)."""
+    model = {"kind": "perturbed", "m": 1.0, "epsilon": 0.5, "A": 0.1, "shape": "odd"}
+    model.update(B=B, b=[0.966, -0.259, 0.021])
+    if translate:
+        model["a"] = [-0.161, 0.076, 0.037]
+    run = {"sigmas": [16.0, 32.0, 64.0, 128.0], "band_limit": 24, "out": str(out)}
+    return {"model": model, "run": run, "solver": {"newton_tol": 1e-10}}
 
-    |z| fits a growth exponent of 0.643 against the gate's 1 - epsilon + 0.1 = 0.6, so the
-    stage exits 1 with ``failed-gate`` and ``center_growth`` is the only failing row.  With
-    B = 0 the data are time-symmetric: the evolution residuals vanish at solver accuracy,
-    so that row is not fitted and passes.
+
+@pytest.mark.parametrize("B", [1.0, 0.0])
+def test_study_center_growth_does_not_depend_on_the_translation(tmp_path, B):
+    """Center growth is measured from the exclusion center, so a translated model grows like the untranslated one.
+
+    Both fit a growth exponent of 0.554 over sigma = 16-128, below the gate's
+    1 - epsilon + 0.1 = 0.6 (from the origin, ``|z|`` of the translated
+    centers fitted 0.643 and failed).  With B = 0 the data are time-symmetric:
+    the evolution residuals vanish at solver accuracy, so that row is not
+    fitted and passes.
     """
-    model = {
-        "kind": "perturbed", "m": 1.0, "epsilon": 0.5, "A": 0.1, "shape": "odd",
-        "a": [-0.161, 0.076, 0.037], "B": B, "b": [0.966, -0.259, 0.021],
-    }
-    config = write_config(
-        tmp_path,
-        json.dumps(
-            {
-                "model": model,
-                "run": {"sigmas": [16.0, 32.0, 64.0, 128.0], "band_limit": 24},
-                "solver": {"newton_tol": 1e-10},
-            }
-        ),
-    )
+    rows = {}
+    for translate in (True, False):
+        config = config_from_dict(_seed_2117_study(tmp_path / "study", B, translate))
+        manifest, status = run_experiment("study", config)
+        assert status == 0 and manifest["status"]["study"] == "ok"
+        rows[translate] = {r["quantity"]: r for r in manifest["reports"]["study"]["rows"]}
+    growth = rows[True]["center_growth"]["exponent"]
+    assert growth == pytest.approx(0.5538, abs=5e-4)
+    assert growth == pytest.approx(rows[False]["center_growth"]["exponent"], rel=1e-9)
+    if B == 0.0:
+        assert rows[True]["evolution_residual"] == {
+            "quantity": "evolution_residual", "exponent": float("inf"), "fit_residual": 0.0, "passed": True
+        }
+
+
+def test_study_gate_failure_exits_1_naming_the_failing_claim(tmp_path, monkeypatch):
+    """A claim whose gate fails makes the stage exit 1 with ``failed-gate``, and its row is the one failing."""
+    from cmclab import cli
+    from cmclab.physics import center_growth
+
+    monkeypatch.setattr(cli, "center_growth", lambda leaves, gate: center_growth(leaves, lambda fit, values: False))
     out = tmp_path / "study"
-    assert main(["study", "--config", str(config), "--out", str(out), "--log", "quiet"]) == 1
+    p = write_config(tmp_path, json.dumps(_seed_2117_study(out, 1.0)))
+    assert main(["study", "--config", str(p), "--log", "quiet"]) == 1
     manifest = json.loads(out.with_suffix(".json").read_text())
     assert manifest["status"]["study"] == "failed-gate"
     rows = {r["quantity"]: r for r in manifest["reports"]["study"]["rows"]}
     assert [name for name, row in rows.items() if not row["passed"]] == ["center_growth"]
-    assert rows["center_growth"]["exponent"] == pytest.approx(0.643, abs=5e-4)
-    if B == 0.0:
-        assert rows["evolution_residual"] == {
-            "quantity": "evolution_residual", "exponent": float("inf"), "fit_residual": 0.0, "passed": True
-        }
 
 
 def test_cli_main_exit_codes(tmp_path):
@@ -359,7 +373,6 @@ def test_solver_section_errors_exit_2_naming_the_key(tmp_path, capsys, setting):
         ("model", "a: [1, 2, x]"),
         ("adm", "radii: [32, x]"),
         ("artificial", "tau_steps: 2.5"),
-        ("artificial", "kbar_factor: half"),
     ],
 )
 def test_values_of_the_wrong_type_exit_2_naming_the_key(tmp_path, capsys, section, setting):
@@ -380,11 +393,25 @@ def test_sections_that_are_not_mappings_exit_2_naming_the_section(tmp_path, caps
 
 
 def test_recenter_threshold_is_an_unknown_solver_key(tmp_path, capsys):
-    """Re-centering has no threshold to set: every iterate off its centroid is resampled."""
+    """Re-centering has no threshold to set: every iterate off its centroid is resampled.
+
+    Nor has the artificial flow a slice-curvature factor: its data take the
+    definitional ``(gS - g) / 2``, so ``artificial.kbar_factor`` is an unknown
+    key and ``--kbar-factor`` an unknown flag.
+    """
     out = tmp_path / "run"
-    p = write_config(tmp_path, f"solver:\n  recenter_threshold: 0.1\nrun:\n  band_limit: 8\n  out: {out}\n")
-    assert main(["foliate", "--config", str(p), "--log", "quiet"]) == 2
-    assert "config error: unknown key solver.'recenter_threshold'" in capsys.readouterr().err
+    for section, key, command in (
+        ("solver", "recenter_threshold", "foliate"),
+        ("artificial", "kbar_factor", "artificial"),
+    ):
+        p = write_config(tmp_path, f"{section}:\n  {key}: 0.1\nrun:\n  band_limit: 8\n  out: {out}\n")
+        assert main([command, "--config", str(p), "--log", "quiet"]) == 2
+        assert f"config error: unknown key {section}.'{key}'" in capsys.readouterr().err
+        assert not out.with_suffix(".json").exists()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["artificial", "--kbar-factor", "2.0", "--out", str(out), "--log", "quiet"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --kbar-factor" in capsys.readouterr().err
     assert not out.with_suffix(".json").exists()
 
 
