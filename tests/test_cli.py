@@ -393,20 +393,25 @@ def test_sections_that_are_not_mappings_exit_2_naming_the_section(tmp_path, caps
 
 
 def test_recenter_threshold_is_an_unknown_solver_key(tmp_path, capsys):
-    """Re-centering has no threshold to set: every iterate off its centroid is resampled.
+    """Re-centering has no threshold to set: every iterate off its centroid is resampled."""
+    out = tmp_path / "run"
+    p = write_config(tmp_path, f"solver:\n  recenter_threshold: 0.1\nrun:\n  band_limit: 8\n  out: {out}\n")
+    assert main(["foliate", "--config", str(p), "--log", "quiet"]) == 2
+    assert "config error: unknown key solver.'recenter_threshold'" in capsys.readouterr().err
+    assert not out.with_suffix(".json").exists()
 
-    Nor has the artificial flow a slice-curvature factor: its data take the
-    definitional ``(gS - g) / 2``, so ``artificial.kbar_factor`` is an unknown
-    key and ``--kbar-factor`` an unknown flag.
+
+def test_kbar_factor_is_an_unknown_artificial_key_and_flag(tmp_path, capsys):
+    """The artificial flow has no slice-curvature factor to set.
+
+    Its data take the definitional ``(gS - g) / 2``, so ``artificial.kbar_factor``
+    is an unknown key and ``--kbar-factor`` an unknown flag, whatever the value.
     """
     out = tmp_path / "run"
-    for section, key, command in (
-        ("solver", "recenter_threshold", "foliate"),
-        ("artificial", "kbar_factor", "artificial"),
-    ):
-        p = write_config(tmp_path, f"{section}:\n  {key}: 0.1\nrun:\n  band_limit: 8\n  out: {out}\n")
-        assert main([command, "--config", str(p), "--log", "quiet"]) == 2
-        assert f"config error: unknown key {section}.'{key}'" in capsys.readouterr().err
+    for value in ("0.1", "half"):
+        p = write_config(tmp_path, f"artificial:\n  kbar_factor: {value}\nrun:\n  band_limit: 8\n  out: {out}\n")
+        assert main(["artificial", "--config", str(p), "--log", "quiet"]) == 2
+        assert "config error: unknown key artificial.'kbar_factor'" in capsys.readouterr().err
         assert not out.with_suffix(".json").exists()
     with pytest.raises(SystemExit) as exit_info:
         main(["artificial", "--kbar-factor", "2.0", "--out", str(out), "--log", "quiet"])
